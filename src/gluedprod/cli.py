@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import cubes, dynamics, lef
 from .core import PvContext
-from .errors import GluedError
+from .errors import GluedError, GroupSpecError
 from .finite import classify, glued_order
 from .groups import parse_group
 from .suites import SuiteConfig, run_suite
@@ -18,9 +18,12 @@ from .suites import SuiteConfig, run_suite
 
 def _load_spec(text: str) -> dict:
     text = text.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    return json.loads(Path(text).read_text())
+    try:
+        return json.loads(text if text.startswith("{") else Path(text).read_text())
+    except OSError as exc:
+        raise GroupSpecError(f"cannot read the spec file {text!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise GroupSpecError(f"malformed group spec {text!r}: {exc}") from None
 
 
 def _context(args, **kwargs) -> PvContext:
@@ -101,13 +104,12 @@ def cmd_cube_transport(args) -> int:
 
 def cmd_lef(args) -> int:
     ctx = _context(args)
-    mode = "exhaustive"
+    mode, _, count = args.mode.partition(":")
     sample = 10**5
-    if args.mode.startswith("sample:"):
-        mode = "sample"
-        sample = int(args.mode.split(":", 1)[1])
+    if mode == "sample" and count.isdecimal() and int(count) > 0:
+        sample = int(count)
     elif args.mode != "exhaustive":
-        raise GluedError(f"bad mode {args.mode!r}; use exhaustive or sample:K")
+        raise GluedError(f"bad mode {args.mode!r}; use exhaustive or sample:K with K >= 1")
     approx = lef.Approximation(ctx, args.n, modulus=args.modulus)
     reports = [
         approx.check_multiplicativity(mode=mode, sample=sample, seed=args.seed),
@@ -141,8 +143,10 @@ def cmd_folner(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    cfg = SuiteConfig(seed=args.seed, budget=args.budget,
-                      left=_load_spec(args.left), right=_load_spec(args.right),
+    left, right = _load_spec(args.left), _load_spec(args.right)
+    for spec in (left, right):
+        parse_group(spec)  # a malformed spec is an error, not a reason to skip
+    cfg = SuiteConfig(seed=args.seed, budget=args.budget, left=left, right=right,
                       fmt=args.format)
     code, lines = run_suite(args.name, cfg, only=args.only)
     for line in lines:

@@ -14,45 +14,21 @@ import math
 from typing import Sequence
 
 from .errors import BudgetError, GroupSpecError
-from .groups import GroupHandle, schreier_sims_order
-
-DensePerm = tuple[int, ...]
+# the dense operations live beside the order engine and are re-exported here
+from .groups import (
+    DensePerm,
+    GroupHandle,
+    compose_dense,
+    inverse_dense,
+    parity_dense,
+    schreier_sims_order,
+)
 
 DEFAULT_POINT_CAP = 64
 
 
 def identity_dense(n: int) -> DensePerm:
     return tuple(range(n))
-
-
-def compose_dense(p: DensePerm, q: DensePerm) -> DensePerm:
-    """(p o q): apply q first, then p."""
-    return tuple(p[i] for i in q)
-
-
-def inverse_dense(p: DensePerm) -> DensePerm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
-def parity_dense(p: DensePerm) -> int:
-    """0 for even, 1 for odd."""
-    seen = [False] * len(p)
-    flips = 0
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        flips += length - 1
-    return flips % 2
 
 
 class FiniteUnion:

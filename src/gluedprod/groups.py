@@ -493,25 +493,47 @@ def symmetric_group_table(n: int) -> list[list[int]]:
 
 
 # ----------------------------------------------------------------------
-# Order engine for finite permutation groups.
+# Dense permutations of 0..n-1 and the order engine for the groups they
+# generate.
 
-def _check_point_perm(p: Sequence[int], n: int) -> tuple[int, ...]:
-    t = tuple(p)
-    if len(t) != n or sorted(t) != list(range(n)):
-        raise GroupSpecError(f"not a permutation of 0..{n - 1}: {p!r}")
-    return t
+DensePerm = tuple[int, ...]
 
 
-def _mul_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply q first, then p
+def compose_dense(p: DensePerm, q: DensePerm) -> DensePerm:
+    """(p o q): apply q first, then p."""
     return tuple(p[i] for i in q)
 
 
-def _inv_perm(p: tuple[int, ...]) -> tuple[int, ...]:
+def inverse_dense(p: DensePerm) -> DensePerm:
     out = [0] * len(p)
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
+
+
+def parity_dense(p: DensePerm) -> int:
+    """0 for even, 1 for odd."""
+    seen = [False] * len(p)
+    flips = 0
+    for i in range(len(p)):
+        if seen[i] or p[i] == i:
+            seen[i] = True
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        flips += length - 1
+    return flips % 2
+
+
+def _check_point_perm(p: Sequence[int], n: int) -> DensePerm:
+    t = tuple(p)
+    if len(t) != n or sorted(t) != list(range(n)):
+        raise GroupSpecError(f"not a permutation of 0..{n - 1}: {p!r}")
+    return t
 
 
 def schreier_sims_order(generators: Sequence[Sequence[int]],
@@ -563,7 +585,7 @@ def schreier_sims_order(generators: Sequence[Sequence[int]],
             for g in gens_i:
                 b = g[a]
                 if b not in transversal:
-                    transversal[b] = _mul_perm(g, ta)
+                    transversal[b] = compose_dense(g, ta)
                     frontier.append(b)
         orbits[i] = transversal
 
@@ -572,7 +594,7 @@ def schreier_sims_order(generators: Sequence[Sequence[int]],
             rep = orbits[i].get(p[base[i]])
             if rep is None:
                 return p, i
-            p = _mul_perm(_inv_perm(rep), p)
+            p = compose_dense(inverse_dense(rep), p)
             i += 1
         return p, i
 
@@ -584,7 +606,7 @@ def schreier_sims_order(generators: Sequence[Sequence[int]],
             ta = orbits[i][a]
             for g in gens_i:
                 tb = orbits[i][g[a]]
-                schreier = _mul_perm(_inv_perm(tb), _mul_perm(g, ta))
+                schreier = compose_dense(inverse_dense(tb), compose_dense(g, ta))
                 if schreier == identity:
                     continue
                 residue, j = sift(schreier, i + 1)

@@ -13,7 +13,9 @@ samples.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from random import Random
@@ -21,7 +23,7 @@ from typing import Callable, Iterator, Optional
 
 from .core import BOTH_INFINITE, MIXED, PvContext, PvElement
 from .errors import BudgetError, GroupSpecError, MembershipError
-from .finite import DensePerm, FiniteUnion, compose_dense
+from .finite import DensePerm, FiniteUnion, compose_dense, parity_dense
 from .groups import (
     CyclicGroup,
     GroupHandle,
@@ -137,17 +139,21 @@ def window_points(ctx: PvContext, n: int) -> frozenset[Point]:
     return frozenset(pts)
 
 
-def in_window(ctx: PvContext, s: PvElement, n: int) -> bool:
-    """Whether an element lies in F_n (lengths, support, and parity)."""
+def in_window(ctx: PvContext, s: PvElement, n: int,
+              points: Optional[frozenset[Point]] = None) -> bool:
+    """Whether an element lies in F_n (lengths, support, and parity).
+
+    ``points`` is C_n, for callers that already hold it.
+    """
     if ctx.G.length(s.g) > n:
         return False
     if ctx.regime == BOTH_INFINITE and ctx.H.length(s.h) > n:
         return False
-    if not s.a.support() <= window_points(ctx, n):
+    if points is None:
+        points = window_points(ctx, n)
+    if not s.a.support() <= points:
         return False
-    if ctx.regime == MIXED and ctx.mixed_symmetric:
-        return True
-    return s.a.is_even()
+    return ctx.mixed_symmetric or s.a.is_even()
 
 
 def perms_of_points(points, even_only: bool) -> Iterator[FinPerm]:
@@ -163,8 +169,7 @@ def perms_of_points(points, even_only: bool) -> Iterator[FinPerm]:
 def window_elements(ctx: PvContext, n: int) -> list[PvElement]:
     """All of F_n, enumerated deterministically."""
     points = ctx.union.sorted_points(window_points(ctx, n))
-    even_only = not (ctx.regime == MIXED and ctx.mixed_symmetric)
-    perms = list(perms_of_points(points, even_only))
+    perms = list(perms_of_points(points, not ctx.mixed_symmetric))
     g_ball = ctx.G.ball(n)
     h_ball = [ctx.H.identity] if ctx.regime == MIXED else ctx.H.ball(n)
     return [
@@ -180,8 +185,7 @@ def random_window_element(ctx: PvContext, n: int, rng: Random) -> PvElement:
     images = points[:]
     rng.shuffle(images)
     perm = FinPerm(dict(zip(points, images)))
-    even_only = not (ctx.regime == MIXED and ctx.mixed_symmetric)
-    if even_only and not perm.is_even():
+    if not ctx.mixed_symmetric and not perm.is_even():
         images[0], images[1] = images[1], images[0]
         perm = FinPerm(dict(zip(points, images)))
     g = rng.choice(ctx.G.ball(n))
@@ -212,6 +216,27 @@ class CheckReport:
         }
 
 
+def _check(name: str):
+    """Run a generator of cases as a check that returns a ``CheckReport``.
+
+    The generator yields once per case: None when the case holds, its
+    failure label otherwise.  The report's time includes the set-up.
+    """
+    def decorate(cases: Callable[..., Iterator[Optional[str]]]):
+        @functools.wraps(cases)
+        def run(self, *args, **kwargs) -> CheckReport:
+            start = time.perf_counter()
+            failures = []
+            checked = 0
+            for failure in cases(self, *args, **kwargs):
+                checked += 1
+                if failure is not None:
+                    failures.append(failure)
+            return CheckReport(name, checked, failures, time.perf_counter() - start)
+        return run
+    return decorate
+
+
 class Approximation:
     """The map phi from the window F_2n into a finite glued product."""
 
@@ -236,17 +261,6 @@ class Approximation:
                                   cap=max(64, size))
         self._translations: dict[tuple[str, str], DensePerm] = {}
         self._window2 = window_points(ctx, 2 * n)
-        self._even_only = not (ctx.regime == MIXED and ctx.mixed_symmetric)
-
-    def _member_f2n(self, s: PvElement) -> bool:
-        # in_window(ctx, s, 2n) against the precomputed window
-        if self.ctx.G.length(s.g) > 2 * self.n:
-            return False
-        if self.ctx.regime == BOTH_INFINITE and self.ctx.H.length(s.h) > 2 * self.n:
-            return False
-        if not s.a.support() <= self._window2:
-            return False
-        return s.a.is_even() if self._even_only else True
 
     # -- the map itself -------------------------------------------------
 
@@ -273,7 +287,7 @@ class Approximation:
         return tuple(images)
 
     def phi_parts(self, s: PvElement) -> tuple[str, str, DensePerm]:
-        if not self._member_f2n(s):
+        if not in_window(self.ctx, s, 2 * self.n, self._window2):
             raise MembershipError(f"element outside the window F_{2 * self.n}")
         return (self.qg.proj(s.g), self.qh.proj(s.h), self.pushforward(s.a))
 
@@ -284,141 +298,113 @@ class Approximation:
 
     # -- harnesses -------------------------------------------------------
 
-    def _pairs(self, count: int, mode: str, sample: int, rng: Random,
-               budget: int) -> Iterator[tuple[int, int]]:
+    def _window_pairs(self, mode: str, sample: int, seed: int, budget: int
+                      ) -> tuple[list[PvElement], Iterator[tuple[int, int]]]:
+        """F_n and pairs of positions in it: all of them, or ``sample`` seeded draws."""
+        elements = window_elements(self.ctx, self.n)
+        count = len(elements)
         if mode == "exhaustive":
             if count * count > budget:
                 raise BudgetError(
                     f"{count * count} pairs exceed the budget of {budget}"
                 )
-            return itertools.product(range(count), repeat=2)
+            return elements, itertools.product(range(count), repeat=2)
         if mode == "sample":
-            return ((rng.randrange(count), rng.randrange(count))
-                    for _ in range(min(sample, budget)))
+            rng = Random(seed)
+            return elements, ((rng.randrange(count), rng.randrange(count))
+                              for _ in range(min(sample, budget)))
         raise GroupSpecError(f"unknown mode {mode!r}")
 
+    def _pair_label(self, s1: PvElement, s2: PvElement) -> str:
+        return f"{self.ctx.format_element(s1)} | {self.ctx.format_element(s2)}"
+
+    @_check("multiplicativity")
     def check_multiplicativity(self, mode: str = "exhaustive",
                                sample: int = 10**5, seed: int = 0,
-                               budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
+                               budget: int = DEFAULT_PAIR_BUDGET):
         """phi(s1 s2) = phi(s1) phi(s2) over pairs of F_n."""
-        start = time.perf_counter()
-        ctx = self.ctx
-        elements = window_elements(ctx, self.n)
+        elements, pairs = self._window_pairs(mode, sample, seed, budget)
         phis = [self.phi(s) for s in elements]
-        failures = []
-        checked = 0
-        for i, j in self._pairs(len(elements), mode, sample, Random(seed), budget):
-            prod = ctx.multiply(elements[i], elements[j])
-            if self.phi(prod) != compose_dense(phis[i], phis[j]):
-                failures.append(
-                    f"{ctx.format_element(elements[i])} | {ctx.format_element(elements[j])}"
-                )
-            checked += 1
-        return CheckReport("multiplicativity", checked, failures,
-                           time.perf_counter() - start)
+        for i, j in pairs:
+            prod = self.ctx.multiply(elements[i], elements[j])
+            holds = self.phi(prod) == compose_dense(phis[i], phis[j])
+            yield None if holds else self._pair_label(elements[i], elements[j])
 
+    @_check("window-closure")
     def check_window_closure(self, mode: str = "exhaustive",
                              sample: int = 10**5, seed: int = 0,
-                             budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
+                             budget: int = DEFAULT_PAIR_BUDGET):
         """Products of F_n land in F_2n."""
-        start = time.perf_counter()
-        ctx = self.ctx
-        elements = window_elements(ctx, self.n)
-        failures = []
-        checked = 0
-        for i, j in self._pairs(len(elements), mode, sample, Random(seed), budget):
-            prod = ctx.multiply(elements[i], elements[j])
-            if not self._member_f2n(prod):
-                failures.append(
-                    f"{ctx.format_element(elements[i])} | {ctx.format_element(elements[j])}"
-                )
-            checked += 1
-        return CheckReport("window-closure", checked, failures,
-                           time.perf_counter() - start)
+        elements, pairs = self._window_pairs(mode, sample, seed, budget)
+        for i, j in pairs:
+            prod = self.ctx.multiply(elements[i], elements[j])
+            inside = in_window(self.ctx, prod, 2 * self.n, self._window2)
+            yield None if inside else self._pair_label(elements[i], elements[j])
 
+    @_check("injectivity")
     def check_injectivity(self, samples: int = 10**5, seed: int = 0,
-                          budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
+                          budget: int = DEFAULT_PAIR_BUDGET):
         """Distinct sampled elements of F_2n have distinct images."""
-        start = time.perf_counter()
-        ctx = self.ctx
         rng = Random(seed)
-        failures = []
-        checked = 0
-        goal = min(samples, budget)
-        while checked < goal:
-            s1 = random_window_element(ctx, 2 * self.n, rng)
-            s2 = random_window_element(ctx, 2 * self.n, rng)
-            if s1 == s2:
-                continue
-            checked += 1
-            if self.phi(s1) == self.phi(s2):
-                failures.append(
-                    f"{ctx.format_element(s1)} | {ctx.format_element(s2)}"
-                )
-        return CheckReport("injectivity", checked, failures,
-                           time.perf_counter() - start)
+        for _ in range(min(samples, budget)):
+            s1 = s2 = None
+            while s1 == s2:
+                s1 = random_window_element(self.ctx, 2 * self.n, rng)
+                s2 = random_window_element(self.ctx, 2 * self.n, rng)
+            yield None if self.phi(s1) != self.phi(s2) else self._pair_label(s1, s2)
 
-    def check_point_bijection(self) -> CheckReport:
-        """The point projection restricted to C_4n is a bijection."""
-        start = time.perf_counter()
-        window = window_points(self.ctx, 4 * self.n)
-        images = {self.point_image(p) for p in window}
-        failures = []
-        if len(images) != len(window):
-            failures.append(f"projection collapses C_{4 * self.n}")
-        return CheckReport("point-bijection", len(window), failures,
-                           time.perf_counter() - start)
+    @_check("point-bijection")
+    def check_point_bijection(self):
+        """The point projection restricted to C_4n is a bijection.
 
+        One case per point; a collapse is reported once, at the first
+        point whose image is already taken.
+        """
+        images: set[int] = set()
+        for i, p in enumerate(window_points(self.ctx, 4 * self.n)):
+            image = self.point_image(p)
+            first_collapse = image in images and len(images) == i
+            images.add(image)
+            yield f"projection collapses C_{4 * self.n}" if first_collapse else None
+
+    @_check("equivariance")
     def check_equivariance(self, mode: str = "exhaustive",
-                           sample: int = 10**4, seed: int = 0) -> CheckReport:
+                           sample: int = 10**4, seed: int = 0):
         """Weak equivariance of the point projection against ball elements.
 
         For x in the radius-2n ball of a factor and z in C_4n outside the
         other factor's kernel shadow, projecting x.z equals translating
         the projection of z by the projected x.
         """
-        start = time.perf_counter()
         ctx = self.ctx
         window = ctx.union.sorted_points(window_points(ctx, 4 * self.n))
         rng = Random(seed)
-        failures = []
-        checked = 0
-
-        cases = []
         for side, handle, q, other_q in (("g", ctx.G, self.qg, self.qh),
                                          ("h", ctx.H, self.qh, self.qg)):
             ball = handle.elements() if handle.is_finite else handle.ball(2 * self.n)
             if mode == "sample":
                 ball = [rng.choice(ball) for _ in range(max(1, sample // len(window)))]
-            cases.append((side, ball, q, other_q))
-
-        for side, ball, q, other_q in cases:
             other_side = "h" if side == "g" else "g"
             for x in ball:
-                xn = q.proj(x)
-                trans = self._translation(side, xn)
+                trans = self._translation(side, q.proj(x))
                 for z in window:
                     if z.side == other_side and \
                             other_q.proj(z.payload) == other_q.target.identity:
                         continue  # kernel shadow: projection collapses to the basepoint
-                    lhs = self.point_image(ctx.union.apply_factor(side, x, z))
-                    rhs = trans[self.point_image(z)]
-                    checked += 1
-                    if lhs != rhs:
-                        failures.append(f"{side}:{x} at {ctx.union.format_point(z)}")
-        return CheckReport("equivariance", checked, failures,
-                           time.perf_counter() - start)
+                    holds = self.point_image(ctx.union.apply_factor(side, x, z)) \
+                        == trans[self.point_image(z)]
+                    yield None if holds else f"{side}:{x} at {ctx.union.format_point(z)}"
 
+    @_check("pushforward")
     def check_pushforward(self, mode: str = "exhaustive",
                           sample: int = 10**4, seed: int = 0,
-                          budget: int = DEFAULT_PAIR_BUDGET) -> CheckReport:
+                          budget: int = DEFAULT_PAIR_BUDGET):
         """The pushforward acts as conjugation by the point projection.
 
         For every residual supported in C_2n and every y in C_4n, the
         image of y under the pushforward of a equals the projection of
         a(y).
         """
-        start = time.perf_counter()
         ctx = self.ctx
         pts2 = ctx.union.sorted_points(window_points(ctx, 2 * self.n))
         pts4 = ctx.union.sorted_points(window_points(ctx, 4 * self.n))
@@ -426,9 +412,6 @@ class Approximation:
         pos2 = {p: i for i, p in enumerate(pts2)}
         outside = [self.point_image(p) for p in pts4 if p not in pos2]
         c = len(pts2)
-        even_only = not (ctx.regime == MIXED and ctx.mixed_symmetric)
-        failures = []
-        checked = 0
 
         def verify(sigma: tuple[int, ...]) -> bool:
             images = list(range(self.funion.n))
@@ -442,49 +425,23 @@ class Approximation:
                     return False
             return True
 
+        def shuffled():
+            rng = Random(seed)
+            for _ in range(sample):
+                sigma = list(range(c))
+                rng.shuffle(sigma)
+                yield tuple(sigma)
+
         if mode == "exhaustive":
-            total = 1
-            for k in range(2, c + 1):
-                total *= k
+            total = math.factorial(c)
             if total > budget:
                 raise BudgetError(f"{total} residuals exceed the budget of {budget}")
-            source = itertools.permutations(range(c))
+            residuals = itertools.permutations(range(c))
         else:
-            rng = Random(seed)
-
-            def _sampled():
-                for _ in range(sample):
-                    sigma = list(range(c))
-                    rng.shuffle(sigma)
-                    yield tuple(sigma)
-
-            source = _sampled()
-
-        for sigma in source:
-            if even_only and _index_parity(sigma):
-                continue
-            checked += 1
-            if not verify(sigma):
-                failures.append(f"residual {sigma}")
-        return CheckReport("pushforward", checked, failures,
-                           time.perf_counter() - start)
-
-
-def _index_parity(sigma: tuple[int, ...]) -> int:
-    seen = [False] * len(sigma)
-    flips = 0
-    for i in range(len(sigma)):
-        if seen[i] or sigma[i] == i:
-            seen[i] = True
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        flips += length - 1
-    return flips % 2
+            residuals = shuffled()
+        for sigma in residuals:
+            if ctx.mixed_symmetric or not parity_dense(sigma):
+                yield None if verify(sigma) else f"residual {sigma}"
 
 
 def lef_mixed(ctx: PvContext, n: int, mode: str = "exhaustive",

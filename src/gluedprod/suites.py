@@ -2,7 +2,8 @@
 
 Each suite re-runs the module's invariants at desk scale with a seeded
 generator; identical (seed, config) pairs produce byte-identical
-reports.  Failures carry a reproduction command line.
+reports.  Failures carry a reproduction command line; checks that do
+not apply to the configured factors are reported as skipped.
 """
 
 from __future__ import annotations
@@ -56,15 +57,37 @@ class SuiteConfig:
 class CheckResult:
     suite: str
     name: str
-    ok: bool
+    ok: Optional[bool]  # None: the check does not apply to the configured factors
     detail: str
 
     def repro(self, cfg: SuiteConfig) -> str:
         return f"gluedprod suite {self.suite} --seed {cfg.seed} --only {self.name}"
 
 
-def _rng(cfg: SuiteConfig, suite: str, name: str) -> Random:
-    return Random(cfg.seed * 1000003 + zlib.crc32(f"{suite}.{name}".encode()))
+_SUITES: dict[str, dict[str, Callable[[SuiteConfig], CheckResult]]] = {}
+
+
+def _check(suite: str, name: str):
+    """Declare ``fn(cfg, rng) -> (ok, detail)`` as the check ``suite.name``.
+
+    The rng is seeded from the seed and the declared name.  A check whose
+    factors it does not apply to raises GroupSpecError or RegimeError and
+    is reported as skipped.
+    """
+    def register(fn: Callable[[SuiteConfig, Random], tuple[bool, str]]):
+        def run(cfg: SuiteConfig) -> CheckResult:
+            rng = Random(cfg.seed * 1000003 + zlib.crc32(f"{suite}.{name}".encode()))
+            try:
+                ok, detail = fn(cfg, rng)
+            except (GroupSpecError, RegimeError) as exc:
+                return CheckResult(suite, name, None, str(exc))
+            except GluedError as exc:
+                return CheckResult(suite, name, False, f"error: {exc}")
+            return CheckResult(suite, name, ok, detail)
+
+        _SUITES.setdefault(suite, {})[name] = run
+        return fn
+    return register
 
 
 def _ctx(cfg: SuiteConfig) -> PvContext:
@@ -72,6 +95,7 @@ def _ctx(cfg: SuiteConfig) -> PvContext:
 
 
 def finite_catalog() -> dict[str, CyclicGroup | TableGroup]:
+    """The finite groups used by the classification checks."""
     return {
         "Z2": CyclicGroup(2),
         "Z3": CyclicGroup(3),
@@ -85,35 +109,33 @@ def finite_catalog() -> dict[str, CyclicGroup | TableGroup]:
 # ----------------------------------------------------------------------
 # core suite
 
-def _core_action_homomorphism(cfg: SuiteConfig) -> CheckResult:
+@_check("core", "action-homomorphism")
+def _core_action_homomorphism(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
-    rng = _rng(cfg, "core", "action-homomorphism")
     count = cfg.cap(10**4)
     for _ in range(count):
         s1 = sample_element(ctx, rng)
         s2 = sample_element(ctx, rng)
         p = sample_points(ctx, rng, 1)[0]
         if ctx.act(ctx.multiply(s1, s2), p) != ctx.act(s1, ctx.act(s2, p)):
-            return CheckResult("core", "action-homomorphism", False,
-                               f"mismatch at {ctx.format_element(s1)}")
-    return CheckResult("core", "action-homomorphism", True, f"{count} samples")
+            return False, f"mismatch at {ctx.format_element(s1)}"
+    return True, f"{count} samples"
 
 
-def _core_residual_parity(cfg: SuiteConfig) -> CheckResult:
+@_check("core", "residual-parity")
+def _core_residual_parity(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
-    rng = _rng(cfg, "core", "residual-parity")
     count = cfg.cap(2000)
     for _ in range(count):
         prod = ctx.multiply(sample_element(ctx, rng), sample_element(ctx, rng))
         if not prod.a.is_even():
-            return CheckResult("core", "residual-parity", False,
-                               ctx.format_element(prod))
-    return CheckResult("core", "residual-parity", True, f"{count} products even")
+            return False, ctx.format_element(prod)
+    return True, f"{count} products even"
 
 
-def _core_commutator(cfg: SuiteConfig) -> CheckResult:
+@_check("core", "commutator-identity")
+def _core_commutator(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
-    rng = _rng(cfg, "core", "commutator-identity")
     count = cfg.cap(1000)
     pool_g = [x for x in ctx.G.ball(6) if x != ctx.G.identity]
     pool_h = [y for y in ctx.H.ball(6) if y != ctx.H.identity]
@@ -124,94 +146,89 @@ def _core_commutator(cfg: SuiteConfig) -> CheckResult:
         word = ctx.normalize([("G", g), ("H", h),
                               ("G", ctx.G.inv(g)), ("H", ctx.H.inv(h))])
         if word != c:
-            return CheckResult("core", "commutator-identity", False, f"g={g} h={h}")
+            return False, f"g={g} h={h}"
         if ctx.multiply(ctx.multiply(c, c), c) != ctx.identity:
-            return CheckResult("core", "commutator-identity", False,
-                               f"cube not trivial at g={g} h={h}")
-    return CheckResult("core", "commutator-identity", True, f"{count} pairs")
+            return False, f"cube not trivial at g={g} h={h}"
+    return True, f"{count} pairs"
 
 
-def _core_inverse(cfg: SuiteConfig) -> CheckResult:
+@_check("core", "inverse-law")
+def _core_inverse(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
-    rng = _rng(cfg, "core", "inverse-law")
     count = cfg.cap(1000)
     for _ in range(count):
         s = sample_element(ctx, rng)
         if ctx.multiply(s, ctx.invert(s)) != ctx.identity:
-            return CheckResult("core", "inverse-law", False, ctx.format_element(s))
-    return CheckResult("core", "inverse-law", True, f"{count} elements")
+            return False, ctx.format_element(s)
+    return True, f"{count} elements"
 
 
-def _core_projection(cfg: SuiteConfig) -> CheckResult:
+@_check("core", "projection-monolith")
+def _core_projection(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
-    rng = _rng(cfg, "core", "projection-monolith")
     count = cfg.cap(10**4)
     for _ in range(count):
         s1 = sample_element(ctx, rng)
         s2 = sample_element(ctx, rng)
         prod = ctx.multiply(s1, s2)
         if ctx.project(prod) != (ctx.G.mul(s1.g, s2.g), ctx.H.mul(s1.h, s2.h)):
-            return CheckResult("core", "projection-monolith", False,
-                               "projection not multiplicative")
+            return False, "projection not multiplicative"
         trivial = ctx.project(prod) == (ctx.G.identity, ctx.H.identity)
         if ctx.in_monolith(prod) != trivial:
-            return CheckResult("core", "projection-monolith", False,
-                               "kernel characterisation failed")
-    return CheckResult("core", "projection-monolith", True, f"{count} pairs")
+            return False, "kernel characterisation failed"
+    return True, f"{count} pairs"
 
 
-def _core_pong(cfg: SuiteConfig) -> CheckResult:
+@_check("core", "pong-words")
+def _core_pong(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
     g = cubes.first_infinite_order(ctx.G)
     h = cubes.first_infinite_order(ctx.H)
     report = dynamics.free_semigroup_check(ctx, g, h, 8)
     ok = report.ok and report.words_checked == 510
-    return CheckResult("core", "pong-words", ok,
-                       f"{report.distinct}/{report.words_checked} distinct")
+    return ok, f"{report.distinct}/{report.words_checked} distinct"
 
 
 # ----------------------------------------------------------------------
 # finite suite
 
-def _finite_classification(cfg: SuiteConfig) -> CheckResult:
-    catalog = finite_catalog()
+@_check("finite", "catalog-classification")
+def _finite_classification(cfg: SuiteConfig, rng: Random):
     done = 0
-    for a, b in itertools.combinations_with_replacement(catalog.values(), 2):
+    for a, b in itertools.combinations_with_replacement(finite_catalog().values(), 2):
         if a.order() + b.order() - 1 > 10:
             continue
         if not verify_classification(a, b):
-            return CheckResult("finite", "catalog-classification", False,
-                               f"{a!r} vs {b!r}")
+            return False, f"{a!r} vs {b!r}"
         done += 1
-    return CheckResult("finite", "catalog-classification", True, f"{done} pairs")
+    return True, f"{done} pairs"
 
 
-def _finite_translation_signs(cfg: SuiteConfig) -> CheckResult:
+@_check("finite", "translation-signs")
+def _finite_translation_signs(cfg: SuiteConfig, rng: Random):
     for name, G in finite_catalog().items():
         union = FiniteUnion(G, CyclicGroup(2))
         for x in G.elements():
             direct = 1 if parity_dense(union.translation("g", x)) == 0 else -1
             if translation_sign(G, x) != direct:
-                return CheckResult("finite", "translation-signs", False,
-                                   f"{name} element {x}")
-    return CheckResult("finite", "translation-signs", True, "catalog agreed")
+                return False, f"{name} element {x}"
+    return True, "catalog agreed"
 
 
-def _finite_symmetry(cfg: SuiteConfig) -> CheckResult:
-    catalog = finite_catalog()
-    for a, b in itertools.combinations(catalog.values(), 2):
+@_check("finite", "classify-symmetric")
+def _finite_symmetry(cfg: SuiteConfig, rng: Random):
+    for a, b in itertools.combinations(finite_catalog().values(), 2):
         if classify(a, b) != classify(b, a):
-            return CheckResult("finite", "classify-symmetric", False,
-                               f"{a!r} vs {b!r}")
-    return CheckResult("finite", "classify-symmetric", True, "all pairs")
+            return False, f"{a!r} vs {b!r}"
+    return True, "all pairs"
 
 
 # ----------------------------------------------------------------------
 # cube suite
 
-def _cube_invariance(cfg: SuiteConfig) -> CheckResult:
+@_check("cube", "s-invariance")
+def _cube_invariance(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
-    rng = _rng(cfg, "cube", "s-invariance")
     count = cfg.cap(1000)
     for _ in range(count):
         s = sample_element(ctx, rng)
@@ -220,15 +237,15 @@ def _cube_invariance(cfg: SuiteConfig) -> CheckResult:
         sv = cubes.act_vertex(ctx, s, v)
         sw = cubes.act_vertex(ctx, s, w)
         if cubes.s_invariant(sv) != cubes.s_invariant(v):
-            return CheckResult("cube", "s-invariance", False, "fiber moved")
+            return False, "fiber moved"
         if cubes.distance(sv, sw) != cubes.distance(v, w):
-            return CheckResult("cube", "s-invariance", False, "distance changed")
-    return CheckResult("cube", "s-invariance", True, f"{count} samples")
+            return False, "distance changed"
+    return True, f"{count} samples"
 
 
-def _cube_action(cfg: SuiteConfig) -> CheckResult:
+@_check("cube", "action-compatibility")
+def _cube_action(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
-    rng = _rng(cfg, "cube", "action-compatibility")
     count = cfg.cap(1000)
     for _ in range(count):
         s1 = sample_element(ctx, rng)
@@ -237,11 +254,12 @@ def _cube_action(cfg: SuiteConfig) -> CheckResult:
         lhs = cubes.act_vertex(ctx, ctx.multiply(s1, s2), v)
         rhs = cubes.act_vertex(ctx, s1, cubes.act_vertex(ctx, s2, v))
         if lhs != rhs:
-            return CheckResult("cube", "action-compatibility", False, "not an action")
-    return CheckResult("cube", "action-compatibility", True, f"{count} samples")
+            return False, "not an action"
+    return True, f"{count} samples"
 
 
-def _cube_fixed_pair(cfg: SuiteConfig) -> CheckResult:
+@_check("cube", "adjacent-fixed-pair")
+def _cube_fixed_pair(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
     vertices = cubes.vertex_ball(ctx, 3, 3)
     pairs = [
@@ -250,23 +268,22 @@ def _cube_fixed_pair(cfg: SuiteConfig) -> CheckResult:
         for y in vertices if cubes.fixed_by_H(y) and cubes.adjacent(x, y)
     ]
     ok = pairs == [(cubes.whole_g_side(), cubes.g_side_without_base())]
-    return CheckResult("cube", "adjacent-fixed-pair", ok,
-                       f"{len(vertices)} vertices scanned")
+    return ok, f"{len(vertices)} vertices scanned"
 
 
-def _cube_growth(cfg: SuiteConfig) -> CheckResult:
+@_check("cube", "growth-witness")
+def _cube_growth(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
     rows = cubes.growth_witness(ctx, 40)
     dists = [d for _, d in rows]
     ok = all(d >= len(w) / 2 for w, d in rows) and \
         all(b > a for a, b in zip(dists, dists[1:]))
-    return CheckResult("cube", "growth-witness", ok,
-                       "distances " + ",".join(str(d) for d in dists[:5]) + ",...")
+    return ok, "distances " + ",".join(str(d) for d in dists[:5]) + ",..."
 
 
-def _cube_transporter(cfg: SuiteConfig) -> CheckResult:
+@_check("cube", "transporter")
+def _cube_transporter(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
-    rng = _rng(cfg, "cube", "transporter")
     same = cross = 0
     target = cfg.cap(100)
     while same < target or cross < target:
@@ -277,7 +294,7 @@ def _cube_transporter(cfg: SuiteConfig) -> CheckResult:
                 continue
             t = cubes.transporter(ctx, v, w)
             if cubes.act_vertex(ctx, t, v) != w or not ctx.in_monolith(t):
-                return CheckResult("cube", "transporter", False, "bad transporter")
+                return False, "bad transporter"
             same += 1
         else:
             if cross >= target:
@@ -287,48 +304,50 @@ def _cube_transporter(cfg: SuiteConfig) -> CheckResult:
             except FiberMismatchError:
                 cross += 1
             else:
-                return CheckResult("cube", "transporter", False,
-                                   "cross-fiber transport accepted")
-    return CheckResult("cube", "transporter", True,
-                       f"{same} transports, {cross} rejections")
+                return False, "cross-fiber transport accepted"
+    return True, f"{same} transports, {cross} rejections"
 
 
 # ----------------------------------------------------------------------
-# lef suite
+# lef suite: the harness reports of the window-one approximation, then
+# those of the infinite-by-finite products with Z/2 and Z/3
 
-def _lef_reports(cfg: SuiteConfig) -> list[CheckResult]:
-    ctx = _ctx(cfg)
-    approx = lef.Approximation(ctx, 1)
-    sample = cfg.cap(10**4)
-    out = []
-    for report in (
-        approx.check_point_bijection(),
-        approx.check_equivariance(mode="exhaustive"),
-        approx.check_pushforward(mode="sample", sample=min(sample, 2000),
-                                 seed=cfg.seed),
-        approx.check_multiplicativity(mode="sample", sample=sample, seed=cfg.seed),
-        approx.check_window_closure(mode="sample", sample=sample, seed=cfg.seed),
-        approx.check_injectivity(samples=sample, seed=cfg.seed),
-    ):
-        out.append(CheckResult("lef", report.name, report.ok,
-                               f"{report.pairs_checked} checks"))
-    return out
+def _lef_check(name: str, factors: Callable[[SuiteConfig], PvContext],
+               report: Callable[[lef.Approximation, SuiteConfig], lef.CheckReport]):
+    @_check("lef", name)
+    def check(cfg: SuiteConfig, rng: Random):
+        r = report(lef.Approximation(factors(cfg), 1), cfg)
+        return r.ok, f"{r.pairs_checked} checks"
 
 
-def _lef_mixed(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for n_mod in (2, 3):
-        ctx = PvContext(parse_group(cfg.left), CyclicGroup(n_mod))
-        for report in lef.lef_mixed(ctx, 1, mode="exhaustive", seed=cfg.seed):
-            out.append(CheckResult("lef", f"mixed-z{n_mod}-{report.name}",
-                                   report.ok, f"{report.pairs_checked} checks"))
-    return out
+def _mixed(order: int) -> Callable[[SuiteConfig], PvContext]:
+    return lambda cfg: PvContext(parse_group(cfg.left), CyclicGroup(order))
+
+
+for _name, _report in (
+    ("point-bijection", lambda a, cfg: a.check_point_bijection()),
+    ("equivariance", lambda a, cfg: a.check_equivariance(mode="exhaustive")),
+    ("pushforward", lambda a, cfg: a.check_pushforward(
+        mode="sample", sample=min(cfg.cap(10**4), 2000), seed=cfg.seed)),
+    ("multiplicativity", lambda a, cfg: a.check_multiplicativity(
+        mode="sample", sample=cfg.cap(10**4), seed=cfg.seed)),
+    ("window-closure", lambda a, cfg: a.check_window_closure(
+        mode="sample", sample=cfg.cap(10**4), seed=cfg.seed)),
+    ("injectivity", lambda a, cfg: a.check_injectivity(samples=cfg.cap(10**4), seed=cfg.seed)),
+):
+    _lef_check(_name, _ctx, _report)
+for _order in (2, 3):
+    _lef_check(f"mixed-z{_order}-multiplicativity", _mixed(_order),
+               lambda a, cfg: a.check_multiplicativity(mode="exhaustive", seed=cfg.seed))
+    _lef_check(f"mixed-z{_order}-injectivity", _mixed(_order),
+               lambda a, cfg: a.check_injectivity(samples=10**4, seed=cfg.seed))
 
 
 # ----------------------------------------------------------------------
 # dynamics suite
 
-def _dynamics_folner(cfg: SuiteConfig) -> CheckResult:
+@_check("dynamics", "folner-ratios")
+def _dynamics_folner(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
     # a unit translation displaces two boundary slabs of the interval/box
     gen_g = cubes.first_infinite_order(ctx.G, span=1)
@@ -336,13 +355,14 @@ def _dynamics_folner(cfg: SuiteConfig) -> CheckResult:
     for n in range(1, 101):
         F = dynamics.folner_set(ctx, n)
         if dynamics.folner_ratio(ctx, F, ctx.from_g(gen_g)) != Fraction(2, 2 * n + 1):
-            return CheckResult("dynamics", "folner-ratios", False, f"n={n}")
+            return False, f"n={n}"
         if dynamics.folner_ratio(ctx, F, ctx.from_h(gen_h)) != 0:
-            return CheckResult("dynamics", "folner-ratios", False, f"n={n} (H side)")
-    return CheckResult("dynamics", "folner-ratios", True, "n=1..100 exact")
+            return False, f"n={n} (H side)"
+    return True, "n=1..100 exact"
 
 
-def _dynamics_pong(cfg: SuiteConfig) -> CheckResult:
+@_check("dynamics", "pong-catalog")
+def _dynamics_pong(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
     if ctx.G.kind == ctx.H.kind == "integers":
         pairs = (("1", "1"), ("2", "3"), ("-1", "5"))
@@ -357,31 +377,21 @@ def _dynamics_pong(cfg: SuiteConfig) -> CheckResult:
     for g, h in pairs:
         report = dynamics.free_semigroup_check(ctx, g, h, 8)
         if not report.ok:
-            return CheckResult("dynamics", "pong-catalog", False, f"g={g} h={h}")
-    return CheckResult("dynamics", "pong-catalog", True,
-                       f"{len(pairs)} generator pairs")
+            return False, f"g={g} h={h}"
+    return True, f"{len(pairs)} generator pairs"
 
 
-def _selftest_fail(cfg: SuiteConfig) -> CheckResult:
-    return CheckResult("selftest", "always-fails", False,
-                       "intentional failure exercising the report path")
-
-
-_SUITES: dict[str, list[Callable[[SuiteConfig], object]]] = {
-    "core": [_core_action_homomorphism, _core_residual_parity, _core_commutator,
-             _core_inverse, _core_projection, _core_pong],
-    "finite": [_finite_classification, _finite_translation_signs, _finite_symmetry],
-    "cube": [_cube_invariance, _cube_action, _cube_fixed_pair, _cube_growth,
-             _cube_transporter],
-    "lef": [_lef_reports, _lef_mixed],
-    "dynamics": [_dynamics_folner, _dynamics_pong],
-    "selftest": [_selftest_fail],
-}
+@_check("selftest", "always-fails")
+def _selftest_fail(cfg: SuiteConfig, rng: Random):
+    return False, "intentional failure exercising the report path"
 
 
 def run_suite(name: str, cfg: SuiteConfig,
               only: Optional[str] = None) -> tuple[int, list[str]]:
-    """Run one suite (or ``all``); returns (exit code, report lines)."""
+    """Run one suite (or ``all``); returns (exit code, report lines).
+
+    With ``only``, just the checks declared with that name run.
+    """
     if name == "all":
         names = list(SUITE_NAMES)
     elif name in _SUITES:
@@ -389,39 +399,19 @@ def run_suite(name: str, cfg: SuiteConfig,
     else:
         raise GluedError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(list(SUITE_NAMES) + ['all'])}")
-    results: list[CheckResult] = []
-    for suite in names:
-        for check in _SUITES[suite]:
-            label = check.__name__.lstrip("_").replace("_", "-")
-            try:
-                outcome = check(cfg)
-            except (GroupSpecError, RegimeError) as exc:
-                # inapplicable for this factor configuration
-                outcome = CheckResult(suite, label, True, f"skipped: {exc}")
-            except GluedError as exc:
-                outcome = CheckResult(suite, label, False, f"error: {exc}")
-            batch = outcome if isinstance(outcome, list) else [outcome]
-            for r in batch:
-                if only is not None and r.name != only:
-                    continue
-                results.append(r)
+    results = [run(cfg) for suite in names
+               for check, run in _SUITES[suite].items()
+               if only is None or check == only]
     lines = []
-    failures = 0
     for r in results:
-        if r.ok:
-            if cfg.fmt == "jsonl":
-                lines.append(json.dumps(
-                    {"check": f"{r.suite}.{r.name}", "detail": r.detail, "ok": True},
-                    sort_keys=True))
-            else:
-                lines.append(f"ok   {r.suite}.{r.name}  {r.detail}")
+        check = f"{r.suite}.{r.name}"
+        if r.ok is None:
+            record, text = {"skipped": True}, f"skip {check}  {r.detail}"
+        elif r.ok:
+            record, text = {"ok": True}, f"ok   {check}  {r.detail}"
         else:
-            failures += 1
-            if cfg.fmt == "jsonl":
-                lines.append(json.dumps(
-                    {"check": f"{r.suite}.{r.name}", "detail": r.detail,
-                     "ok": False, "repro": r.repro(cfg)}, sort_keys=True))
-            else:
-                lines.append(f"FAIL {r.suite}.{r.name}  {r.detail}  "
-                             f"| repro: {r.repro(cfg)}")
-    return (1 if failures else 0), lines
+            record = {"ok": False, "repro": r.repro(cfg)}
+            text = f"FAIL {check}  {r.detail}  | repro: {r.repro(cfg)}"
+        lines.append(json.dumps({"check": check, "detail": r.detail, **record}, sort_keys=True)
+                     if cfg.fmt == "jsonl" else text)
+    return (1 if any(r.ok is False for r in results) else 0), lines

@@ -7,18 +7,9 @@ from random import Random
 
 import pytest
 
-from gluedprod import (
-    CyclicGroup,
-    FinPerm,
-    IntegersGroup,
-    Point,
-    PvContext,
-    TableGroup,
-    cyclic_table,
-    direct_product_table,
-    symmetric_group_table,
-)
+from gluedprod import CyclicGroup, FinPerm, IntegersGroup, Point, PvContext
 from gluedprod import sampling
+from gluedprod.suites import finite_catalog  # noqa: F401  (shared with the test modules)
 
 
 @pytest.fixture
@@ -40,18 +31,6 @@ def z_mod2():
 @pytest.fixture
 def z_mod3():
     return PvContext(IntegersGroup(), CyclicGroup(3), check=True)
-
-
-def finite_catalog() -> dict[str, TableGroup | CyclicGroup]:
-    """The finite groups used by the classification checks."""
-    return {
-        "Z2": CyclicGroup(2),
-        "Z3": CyclicGroup(3),
-        "Z4": CyclicGroup(4),
-        "V4": TableGroup(direct_product_table(cyclic_table(2), cyclic_table(2))),
-        "Z5": CyclicGroup(5),
-        "S3": TableGroup(symmetric_group_table(3)),
-    }
 
 
 def mulclose(gens: list[tuple[int, ...]], limit: int = 10**6) -> set[tuple[int, ...]]:

@@ -167,3 +167,50 @@ def test_suite_budget_cap(capsys):
     code, out, _ = run_cli(capsys, "suite", "core", "--budget", "50")
     assert code == 0
     assert "50 samples" in out
+
+
+def test_bad_factor_spec_is_one_error_line(tmp_path, capsys):
+    for spec in ("{bad", str(tmp_path / "nofile.json")):
+        code, out, err = run_cli(capsys, "eval", "--left", spec, "G:1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "suite", "core", "--left", '{"type": "cyclc"}')
+    assert (code, out) == (2, "")
+    assert err == "error: unknown group kind 'cyclc'\n"
+
+
+def test_lef_check_rejects_bad_sample_counts(capsys):
+    for mode in ("sample:x", "sample:0", "sample:-3"):
+        code, out, err = run_cli(capsys, "lef", "check", "--mode", mode)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad mode") and err.count("\n") == 1
+
+
+def test_suite_reports_inapplicable_checks_as_skipped(capsys):
+    factors = ("--left", '{"type":"free","rank":2}', "--right", '{"type":"cyclic","n":3}')
+    code, out, _ = run_cli(capsys, "suite", "dynamics", *factors)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [line.split("  ")[0] for line in lines] == [
+        "skip dynamics.folner-ratios", "skip dynamics.pong-catalog"]
+    assert lines[0] == "skip dynamics.folner-ratios  no Folner scheme registered for kind 'free'"
+    code, out, _ = run_cli(capsys, "suite", "dynamics", *factors, "--format", "jsonl")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [sorted(r) for r in records] == [["check", "detail", "skipped"]] * 2
+    assert all(r["skipped"] is True for r in records)
+
+
+def test_suite_only_runs_just_the_named_check(capsys, monkeypatch):
+    from gluedprod import suites
+
+    def never(cfg):
+        raise AssertionError("a check outside --only ran")
+
+    monkeypatch.setitem(suites._SUITES["core"], "inverse-law", never)
+    code, out, _ = run_cli(capsys, "suite", "core", "--only", "residual-parity",
+                           "--budget", "20")
+    assert code == 0
+    assert out.strip() == "ok   core.residual-parity  20 products even"

@@ -189,3 +189,48 @@ def test_report_json_shape(zz_fast):
     report = approx.check_multiplicativity(mode="sample", sample=10, seed=0)
     data = report.to_json()
     assert set(data) == {"name", "pairs_checked", "failures", "wall_time"}
+
+
+def test_failing_case_keeps_count_and_labels_the_pair(zz_fast, monkeypatch):
+    approx = Approximation(zz_fast, 1, modulus=17)
+    monkeypatch.setattr(approx, "pushforward",
+                        lambda a: identity_dense(approx.funion.n))
+    report = approx.check_multiplicativity(mode="sample", sample=200, seed=3)
+    assert not report.ok
+    assert report.pairs_checked == 200
+    window = {zz_fast.format_element(s) for s in window_elements(zz_fast, 1)}
+    for label in report.failures:
+        left, right = label.split(" | ")
+        assert left in window and right in window
+
+
+PINNED_SETUPS = {
+    "ZxZ mod 17": (lambda: PvContext(IntegersGroup(), IntegersGroup()), 17,
+                   [17, 782, 159]),
+    "Z2xZ mod 9": (lambda: PvContext(LatticeGroup(2), IntegersGroup()), 9,
+                   [49, 784, 159]),
+    "ZxZ/3": (lambda: PvContext(IntegersGroup(), CyclicGroup(3)), None,
+              [11, 792, 147]),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(PINNED_SETUPS))
+def test_check_counts_are_pinned(setup):
+    make, modulus, (points, equivariance, pushforward) = PINNED_SETUPS[setup]
+    approx = Approximation(make(), 1, modulus=modulus)
+    reports = [
+        approx.check_multiplicativity(mode="sample", sample=300, seed=3),
+        approx.check_window_closure(mode="sample", sample=300, seed=3),
+        approx.check_injectivity(samples=200, seed=3),
+        approx.check_point_bijection(),
+        approx.check_equivariance(mode="sample", sample=400, seed=3),
+        approx.check_pushforward(mode="sample", sample=300, seed=3),
+    ]
+    assert [(r.name, r.pairs_checked, len(r.failures)) for r in reports] == [
+        ("multiplicativity", 300, 0),
+        ("window-closure", 300, 0),
+        ("injectivity", 200, 0),
+        ("point-bijection", points, 0),
+        ("equivariance", equivariance, 0),
+        ("pushforward", pushforward, 0),
+    ]
