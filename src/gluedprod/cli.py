@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import cubes, dynamics, lef
 from .core import PvContext
-from .errors import GluedError, GroupSpecError
+from .errors import GluedError, GroupSpecError, WordParseError
 from .finite import classify, glued_order
 from .groups import parse_group
 from .suites import SuiteConfig, run_suite
@@ -40,10 +40,16 @@ def _add_factor_args(parser, default_left='{"type": "integers"}',
 
 
 def _parse_vertex(ctx: PvContext, text: str) -> cubes.CubeVertex:
-    data = json.loads(text)
-    removed = frozenset(ctx.union.parse_point(t) for t in data.get("removed", []))
-    added = frozenset(ctx.union.parse_point(t) for t in data.get("added", []))
-    return cubes.CubeVertex(removed, added)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise WordParseError(f"malformed vertex {text!r}: {exc}") from None
+    if not isinstance(data, dict):
+        raise WordParseError(f"a vertex is a JSON object, got {text!r}")
+    sides = [data.get("removed", []), data.get("added", [])]
+    if not all(isinstance(side, list) and all(isinstance(t, str) for t in side) for side in sides):
+        raise WordParseError("vertex fields 'removed' and 'added' must be lists of point strings")
+    return cubes.CubeVertex(*(frozenset(map(ctx.union.parse_point, side)) for side in sides))
 
 
 def _vertex_record(ctx: PvContext, v: cubes.CubeVertex) -> dict:

@@ -56,7 +56,7 @@ class PvContext:
     """A glued product of two factor groups, with its product regime."""
 
     def __init__(self, G: GroupHandle, H: GroupHandle, *,
-                 check: bool = False, strict_membership: bool = True):
+                 check: bool = False):
         if G.is_finite and H.is_finite:
             raise RegimeError(
                 "both factors are finite; use the dense backend in gluedprod.finite"
@@ -70,7 +70,6 @@ class PvContext:
         self.union = PointedUnion(G, H)
         self.regime = MIXED if H.is_finite else BOTH_INFINITE
         self.check = check
-        self.strict_membership = strict_membership
         # in the mixed regime the h-and-residual part lives in Alt_f or
         # Sym_f according to whether H has a nontrivial cyclic 2-Sylow
         self.mixed_symmetric = has_cyclic_two_sylow(H) if self.regime == MIXED else False
@@ -89,7 +88,7 @@ class PvContext:
                     "an odd finitely supported permutation is not an element "
                     "of the product of two infinite factors"
                 )
-        elif self.strict_membership and not self.mixed_symmetric:
+        elif not self.mixed_symmetric:
             if not a.is_even():
                 raise MembershipError(
                     "odd residual rejected: the finite factor has no "

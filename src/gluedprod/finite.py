@@ -13,18 +13,17 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import BudgetError, GroupSpecError
+from .errors import GroupSpecError
 # the dense operations live beside the order engine and are re-exported here
 from .groups import (
     DensePerm,
     GroupHandle,
+    check_point_cap,
     compose_dense,
     inverse_dense,
     parity_dense,
     schreier_sims_order,
 )
-
-DEFAULT_POINT_CAP = 64
 
 
 def identity_dense(n: int) -> DensePerm:
@@ -38,14 +37,12 @@ class FiniteUnion:
     canonical order, then the nonidentity H elements.
     """
 
-    def __init__(self, G: GroupHandle, H: GroupHandle, cap: int = DEFAULT_POINT_CAP):
+    def __init__(self, G: GroupHandle, H: GroupHandle):
         if not (G.is_finite and H.is_finite):
             raise GroupSpecError("FiniteUnion needs two finite factors")
         self.G = G
         self.H = H
         self.n = G.order() + H.order() - 1
-        if self.n > cap:
-            raise BudgetError(f"{self.n} points exceeds the cap of {cap}")
         self._index: dict[tuple[str, str], int] = {}
         self._points: list[tuple[str, str]] = [("e", "")]
         for side, handle in (("g", G), ("h", H)):
@@ -74,7 +71,6 @@ class FiniteUnion:
 
 
 def realize_finite(G: GroupHandle, H: GroupHandle,
-                   cap: int = DEFAULT_POINT_CAP,
                    generators: tuple[Sequence[str], Sequence[str]] | None = None,
                    ) -> list[DensePerm]:
     """Dense generators of the glued product of two finite groups.
@@ -82,7 +78,7 @@ def realize_finite(G: GroupHandle, H: GroupHandle,
     Defaults to one permutation per nonidentity element of each factor;
     pass explicit factor generating sets to restrict.
     """
-    union = FiniteUnion(G, H, cap=cap)
+    union = FiniteUnion(G, H)
     if generators is None:
         gen_g = [x for x in G.elements() if x != G.identity]
         gen_h = [y for y in H.elements() if y != H.identity]
@@ -141,16 +137,17 @@ def classify(G: GroupHandle, H: GroupHandle) -> str:
     return "Alt"
 
 
-def glued_order(G: GroupHandle, H: GroupHandle, cap: int = DEFAULT_POINT_CAP) -> int:
+def glued_order(G: GroupHandle, H: GroupHandle) -> int:
     """Order of the glued product computed by Schreier-Sims."""
-    return schreier_sims_order(realize_finite(G, H, cap=cap), point_cap=cap)
+    if G.is_finite and H.is_finite:  # FiniteUnion rejects the other factors
+        check_point_cap(G.order() + H.order() - 1)
+    return schreier_sims_order(realize_finite(G, H))
 
 
-def verify_classification(G: GroupHandle, H: GroupHandle,
-                          cap: int = DEFAULT_POINT_CAP) -> bool:
+def verify_classification(G: GroupHandle, H: GroupHandle) -> bool:
     """Check the Alt/Sym classification against the exact group order."""
     n = G.order() + H.order() - 1
     expected = math.factorial(n)
     if classify(G, H) == "Alt":
         expected //= 2
-    return glued_order(G, H, cap=cap) == expected
+    return glued_order(G, H) == expected

@@ -498,6 +498,8 @@ def symmetric_group_table(n: int) -> list[list[int]]:
 
 DensePerm = tuple[int, ...]
 
+POINT_CAP = 64  # the most points the order engine takes; at 64 a run can take minutes
+
 
 def compose_dense(p: DensePerm, q: DensePerm) -> DensePerm:
     """(p o q): apply q first, then p."""
@@ -536,8 +538,13 @@ def _check_point_perm(p: Sequence[int], n: int) -> DensePerm:
     return t
 
 
-def schreier_sims_order(generators: Sequence[Sequence[int]],
-                        point_cap: int = 64) -> int:
+def check_point_cap(n: int) -> None:
+    """Refuse a permutation group on more points than the order engine takes."""
+    if n > POINT_CAP:
+        raise BudgetError(f"{n} points exceeds the cap of {POINT_CAP}")
+
+
+def schreier_sims_order(generators: Sequence[Sequence[int]]) -> int:
     """Exact order of the permutation group generated by ``generators``.
 
     Deterministic base-and-strong-generating-set computation; the result
@@ -547,8 +554,7 @@ def schreier_sims_order(generators: Sequence[Sequence[int]],
     if not gens:
         return 1
     n = len(gens[0])
-    if n > point_cap:
-        raise BudgetError(f"{n} points exceeds the cap of {point_cap}")
+    check_point_cap(n)
     identity = tuple(range(n))
     strong = []
     seen = set()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterator, Optional
 
-from .core import BOTH_INFINITE, MIXED, PvContext, PvElement
+from .core import MIXED, PvContext, PvElement
 from .errors import BudgetError, GroupSpecError, MembershipError
 from .finite import DensePerm, FiniteUnion, compose_dense, parity_dense
 from .groups import (
@@ -66,29 +66,37 @@ class FiniteQuotient:
                 )
 
 
-def _integers_quotient(G: GroupHandle, radius: int,
+def _identity_quotient(G: GroupHandle, radius: int,
                        modulus: Optional[int]) -> FiniteQuotient:
+    return FiniteQuotient(G, G, lambda x: x, max(radius, 10**9))
+
+
+def build_quotient(G: GroupHandle, radius: int,
+                   modulus: Optional[int] = None) -> FiniteQuotient:
+    """A finite quotient injective on the radius ball.
+
+    A finite factor is its own quotient.  Z^d (Z is d = 1) maps onto
+    (Z/m)^d, m = ``modulus`` or 2 * radius + 1, with (Z/m)^d indexed by
+    the base-m number of its coordinates.  Any other factor needs an
+    explicit quotient, passed to ``Approximation``.
+    """
+    if G.is_finite:
+        return _identity_quotient(G, radius, modulus)
+    if G.kind not in ("integers", "lattice"):
+        raise GroupSpecError(
+            f"no finite quotient for kind {G.kind!r}; pass quotient_g/quotient_h"
+        )
     m = modulus if modulus is not None else 2 * radius + 1
     if m < 2 * radius + 1:
         raise GroupSpecError(
             f"modulus {m} cannot be injective on the radius-{radius} ball"
         )
-    target = CyclicGroup(m)
-    return FiniteQuotient(G, target, lambda x: str(int(x) % m), (m - 1) // 2)
-
-
-def _lattice_quotient(G: GroupHandle, radius: int,
-                      modulus: Optional[int]) -> FiniteQuotient:
-    m = modulus if modulus is not None else 2 * radius + 1
-    if m < 2 * radius + 1:
-        raise GroupSpecError(
-            f"modulus {m} cannot be injective on the radius-{radius} ball"
-        )
-    d = G.d
-    table = cyclic_table(m)
-    for _ in range(d - 1):
-        table = direct_product_table(table, cyclic_table(m))
-    target = TableGroup(table)
+    target: GroupHandle = CyclicGroup(m)
+    if G.kind == "lattice" and G.d > 1:
+        table = cyclic_table(m)
+        for _ in range(G.d - 1):
+            table = direct_product_table(table, cyclic_table(m))
+        target = TableGroup(table)
 
     def proj(x: str) -> str:
         idx = 0
@@ -99,97 +107,86 @@ def _lattice_quotient(G: GroupHandle, radius: int,
     return FiniteQuotient(G, target, proj, (m - 1) // 2)
 
 
-def _identity_quotient(G: GroupHandle, radius: int,
-                       modulus: Optional[int]) -> FiniteQuotient:
-    return FiniteQuotient(G, G, lambda x: x, max(radius, 10**9))
-
-
-QUOTIENT_PROVIDERS: dict[str, Callable[[GroupHandle, int, Optional[int]], FiniteQuotient]] = {
-    "integers": _integers_quotient,
-    "lattice": _lattice_quotient,
-    "cyclic": _identity_quotient,
-    "table": _identity_quotient,
-}
-
-
-def build_quotient(G: GroupHandle, radius: int,
-                   modulus: Optional[int] = None) -> FiniteQuotient:
-    """A finite quotient injective on the radius ball, per-kind provider."""
-    provider = QUOTIENT_PROVIDERS.get(G.kind)
-    if provider is None:
-        raise GroupSpecError(
-            f"no finite-quotient provider registered for kind {G.kind!r}"
-        )
-    return provider(G, radius, modulus)
-
-
 # ----------------------------------------------------------------------
 # windows
 
+@dataclass(frozen=True)
+class Window:
+    """The window F_n of one context, and the point window C_n it acts on.
+
+    F_n is the set of (g, h, a) with g in ``g_ball``, h in ``h_ball`` and
+    a a permutation of ``points`` that is even when ``even`` is set.  In
+    the mixed regime C_n holds the whole finite side and h is always e.
+    """
+
+    points: tuple[Point, ...]  # C_n in canonical order
+    point_set: frozenset[Point]  # C_n as a set
+    g_ball: tuple[str, ...]
+    h_ball: tuple[str, ...]
+    h_trivial: bool  # h = e on all of F_n: not bounded by length, not drawn
+    even: bool  # residuals are even
+    size: int  # |F_n|
+
+
+@functools.lru_cache(maxsize=128)
+def window(ctx: PvContext, n: int) -> Window:
+    """F_n and C_n of ``ctx``, built once per context and radius.
+
+    This is the one place the regime shapes a window.
+    """
+    h_trivial = ctx.regime == MIXED
+    g_ball = ctx.G.ball(n)
+    h_points = ctx.H.elements() if h_trivial else ctx.H.ball(n)
+    h_ball = [ctx.H.identity] if h_trivial else h_points
+    point_set = frozenset(
+        [BASE]
+        + [Point("g", x) for x in g_ball if x != ctx.G.identity]
+        + [Point("h", y) for y in h_points if y != ctx.H.identity]
+    )
+    even = not ctx.mixed_symmetric
+    residuals = math.factorial(len(point_set)) // (2 if even and len(point_set) > 1 else 1)
+    return Window(tuple(ctx.union.sorted_points(point_set)), point_set, tuple(g_ball),
+                  tuple(h_ball), h_trivial, even, len(g_ball) * len(h_ball) * residuals)
+
+
 def window_points(ctx: PvContext, n: int) -> frozenset[Point]:
     """The point window C_n (the whole finite side in the mixed regime)."""
-    pts = {BASE}
-    for x in ctx.G.ball(n):
-        if x != ctx.G.identity:
-            pts.add(Point("g", x))
-    h_pool = ctx.H.elements() if ctx.regime == MIXED else ctx.H.ball(n)
-    for y in h_pool:
-        if y != ctx.H.identity:
-            pts.add(Point("h", y))
-    return frozenset(pts)
+    return window(ctx, n).point_set
 
 
-def in_window(ctx: PvContext, s: PvElement, n: int,
-              points: Optional[frozenset[Point]] = None) -> bool:
-    """Whether an element lies in F_n (lengths, support, and parity).
-
-    ``points`` is C_n, for callers that already hold it.
-    """
+def in_window(ctx: PvContext, s: PvElement, n: int) -> bool:
+    """Whether an element lies in F_n (lengths, support, and parity)."""
+    w = window(ctx, n)
     if ctx.G.length(s.g) > n:
         return False
-    if ctx.regime == BOTH_INFINITE and ctx.H.length(s.h) > n:
+    if not w.h_trivial and ctx.H.length(s.h) > n:
         return False
-    if points is None:
-        points = window_points(ctx, n)
-    if not s.a.support() <= points:
+    if not s.a.support() <= w.point_set:
         return False
-    return ctx.mixed_symmetric or s.a.is_even()
-
-
-def perms_of_points(points, even_only: bool) -> Iterator[FinPerm]:
-    ordered = list(points)
-    for images in itertools.permutations(ordered):
-        moved = {p: q for p, q in zip(ordered, images) if p != q}
-        perm = FinPerm._trusted(moved)
-        if even_only and not perm.is_even():
-            continue
-        yield perm
+    return not w.even or s.a.is_even()
 
 
 def window_elements(ctx: PvContext, n: int) -> list[PvElement]:
     """All of F_n, enumerated deterministically."""
-    points = ctx.union.sorted_points(window_points(ctx, n))
-    perms = list(perms_of_points(points, not ctx.mixed_symmetric))
-    g_ball = ctx.G.ball(n)
-    h_ball = [ctx.H.identity] if ctx.regime == MIXED else ctx.H.ball(n)
-    return [
-        PvElement(g, h, a)
-        for g in g_ball
-        for h in h_ball
-        for a in perms
-    ]
+    w = window(ctx, n)
+    perms = []
+    for images in itertools.permutations(w.points):
+        perm = FinPerm._trusted({p: q for p, q in zip(w.points, images) if p != q})
+        if not w.even or perm.is_even():
+            perms.append(perm)
+    return [PvElement(g, h, a) for g in w.g_ball for h in w.h_ball for a in perms]
 
 
 def random_window_element(ctx: PvContext, n: int, rng: Random) -> PvElement:
-    points = ctx.union.sorted_points(window_points(ctx, n))
-    images = points[:]
+    w = window(ctx, n)
+    images = list(w.points)
     rng.shuffle(images)
-    perm = FinPerm(dict(zip(points, images)))
-    if not ctx.mixed_symmetric and not perm.is_even():
+    perm = FinPerm(dict(zip(w.points, images)))
+    if w.even and not perm.is_even():
         images[0], images[1] = images[1], images[0]
-        perm = FinPerm(dict(zip(points, images)))
-    g = rng.choice(ctx.G.ball(n))
-    h = ctx.H.identity if ctx.regime == MIXED else rng.choice(ctx.H.ball(n))
+        perm = FinPerm(dict(zip(w.points, images)))
+    g = rng.choice(w.g_ball)
+    h = w.h_ball[0] if w.h_trivial else rng.choice(w.h_ball)
     return PvElement(g, h, perm)
 
 
@@ -244,33 +241,31 @@ class Approximation:
                  quotient_g: Optional[FiniteQuotient] = None,
                  quotient_h: Optional[FiniteQuotient] = None,
                  modulus: Optional[int] = None):
+        if n < 1:
+            raise GroupSpecError(f"the window radius n must be at least 1, got {n}")
         self.ctx = ctx
         self.n = n
         self.qg = quotient_g or build_quotient(ctx.G, 4 * n, modulus)
-        if ctx.regime == MIXED:
-            self.qh = quotient_h or _identity_quotient(ctx.H, 4 * n, None)
-        else:
-            self.qh = quotient_h or build_quotient(ctx.H, 4 * n, modulus)
+        self.qh = quotient_h or build_quotient(ctx.H, 4 * n, modulus)
         for q in (self.qg, self.qh):
             if q.injectivity_radius < 4 * n:
                 raise GroupSpecError(
                     f"quotient injectivity radius {q.injectivity_radius} < 4n = {4 * n}"
                 )
-        size = self.qg.target.order() + self.qh.target.order() - 1
-        self.funion = FiniteUnion(self.qg.target, self.qh.target,
-                                  cap=max(64, size))
+        self.funion = FiniteUnion(self.qg.target, self.qh.target)
         self._translations: dict[tuple[str, str], DensePerm] = {}
-        self._window2 = window_points(ctx, 2 * n)
+        self._point_images: dict[Point, int] = {}
 
     # -- the map itself -------------------------------------------------
 
     def point_image(self, p: Point) -> int:
         """The set-theoretic projection onto the finite pointed union."""
-        if p.side == "e":
-            return 0
-        if p.side == "g":
-            return self.funion.index("g", self.qg.proj(p.payload))
-        return self.funion.index("h", self.qh.proj(p.payload))
+        image = self._point_images.get(p)
+        if image is None:
+            q = self.qg if p.side == "g" else self.qh
+            image = 0 if p.side == "e" else self.funion.index(p.side, q.proj(p.payload))
+            self._point_images[p] = image
+        return image
 
     def _translation(self, side: str, x: str) -> DensePerm:
         key = (side, x)
@@ -287,7 +282,7 @@ class Approximation:
         return tuple(images)
 
     def phi_parts(self, s: PvElement) -> tuple[str, str, DensePerm]:
-        if not in_window(self.ctx, s, 2 * self.n, self._window2):
+        if not in_window(self.ctx, s, 2 * self.n):
             raise MembershipError(f"element outside the window F_{2 * self.n}")
         return (self.qg.proj(s.g), self.qh.proj(s.h), self.pushforward(s.a))
 
@@ -301,18 +296,17 @@ class Approximation:
     def _window_pairs(self, mode: str, sample: int, seed: int, budget: int
                       ) -> tuple[list[PvElement], Iterator[tuple[int, int]]]:
         """F_n and pairs of positions in it: all of them, or ``sample`` seeded draws."""
-        elements = window_elements(self.ctx, self.n)
-        count = len(elements)
+        count = window(self.ctx, self.n).size
         if mode == "exhaustive":
             if count * count > budget:
                 raise BudgetError(
                     f"{count * count} pairs exceed the budget of {budget}"
                 )
-            return elements, itertools.product(range(count), repeat=2)
+            return window_elements(self.ctx, self.n), itertools.product(range(count), repeat=2)
         if mode == "sample":
             rng = Random(seed)
-            return elements, ((rng.randrange(count), rng.randrange(count))
-                              for _ in range(min(sample, budget)))
+            return window_elements(self.ctx, self.n), (
+                (rng.randrange(count), rng.randrange(count)) for _ in range(min(sample, budget)))
         raise GroupSpecError(f"unknown mode {mode!r}")
 
     def _pair_label(self, s1: PvElement, s2: PvElement) -> str:
@@ -338,7 +332,7 @@ class Approximation:
         elements, pairs = self._window_pairs(mode, sample, seed, budget)
         for i, j in pairs:
             prod = self.ctx.multiply(elements[i], elements[j])
-            inside = in_window(self.ctx, prod, 2 * self.n, self._window2)
+            inside = in_window(self.ctx, prod, 2 * self.n)
             yield None if inside else self._pair_label(elements[i], elements[j])
 
     @_check("injectivity")
@@ -361,7 +355,7 @@ class Approximation:
         point whose image is already taken.
         """
         images: set[int] = set()
-        for i, p in enumerate(window_points(self.ctx, 4 * self.n)):
+        for i, p in enumerate(window(self.ctx, 4 * self.n).points):
             image = self.point_image(p)
             first_collapse = image in images and len(images) == i
             images.add(image)
@@ -377,17 +371,17 @@ class Approximation:
         the projection of z by the projected x.
         """
         ctx = self.ctx
-        window = ctx.union.sorted_points(window_points(ctx, 4 * self.n))
+        points = window(ctx, 4 * self.n).points
         rng = Random(seed)
         for side, handle, q, other_q in (("g", ctx.G, self.qg, self.qh),
                                          ("h", ctx.H, self.qh, self.qg)):
             ball = handle.elements() if handle.is_finite else handle.ball(2 * self.n)
             if mode == "sample":
-                ball = [rng.choice(ball) for _ in range(max(1, sample // len(window)))]
+                ball = [rng.choice(ball) for _ in range(max(1, sample // len(points)))]
             other_side = "h" if side == "g" else "g"
             for x in ball:
                 trans = self._translation(side, q.proj(x))
-                for z in window:
+                for z in points:
                     if z.side == other_side and \
                             other_q.proj(z.payload) == other_q.target.identity:
                         continue  # kernel shadow: projection collapses to the basepoint
@@ -405,25 +399,15 @@ class Approximation:
         image of y under the pushforward of a equals the projection of
         a(y).
         """
-        ctx = self.ctx
-        pts2 = ctx.union.sorted_points(window_points(ctx, 2 * self.n))
-        pts4 = ctx.union.sorted_points(window_points(ctx, 4 * self.n))
-        img2 = [self.point_image(p) for p in pts2]
-        pos2 = {p: i for i, p in enumerate(pts2)}
-        outside = [self.point_image(p) for p in pts4 if p not in pos2]
+        w2 = window(self.ctx, 2 * self.n)
+        pts2 = w2.points
+        image = {y: self.point_image(y) for y in window(self.ctx, 4 * self.n).points}
         c = len(pts2)
 
         def verify(sigma: tuple[int, ...]) -> bool:
-            images = list(range(self.funion.n))
-            for i in range(c):
-                images[img2[i]] = img2[sigma[i]]
-            for i in range(c):
-                if images[img2[i]] != img2[sigma[i]]:
-                    return False
-            for o in outside:
-                if images[o] != o:
-                    return False
-            return True
+            a = FinPerm._trusted({p: pts2[j] for p, j in zip(pts2, sigma) if p != pts2[j]})
+            pushed = self.pushforward(a)
+            return all(pushed[i] == image[a(y)] for y, i in image.items())
 
         def shuffled():
             rng = Random(seed)
@@ -440,7 +424,7 @@ class Approximation:
         else:
             residuals = shuffled()
         for sigma in residuals:
-            if ctx.mixed_symmetric or not parity_dense(sigma):
+            if not w2.even or not parity_dense(sigma):
                 yield None if verify(sigma) else f"residual {sigma}"
 
 

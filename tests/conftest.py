@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from random import Random
 
 import pytest
 
 from gluedprod import CyclicGroup, FinPerm, IntegersGroup, Point, PvContext
-from gluedprod import sampling
 from gluedprod.suites import finite_catalog  # noqa: F401  (shared with the test modules)
 
 
@@ -49,23 +47,6 @@ def mulclose(gens: list[tuple[int, ...]], limit: int = 10**6) -> set[tuple[int, 
                         raise AssertionError("closure exceeded limit")
         frontier = nxt
     return elements
-
-
-def random_even_perm(ctx: PvContext, rng: Random, span: int = 6,
-                     size: int = 6) -> FinPerm:
-    return sampling.even_perm(ctx, rng, span=span, size=size)
-
-
-def random_element(ctx: PvContext, rng: Random, span: int = 5):
-    return sampling.element(ctx, rng, span=span)
-
-
-def random_points(owner, rng: Random, count: int, span: int = 8) -> list[Point]:
-    return sampling.points(owner, rng, count, span=span)
-
-
-def random_vertex(ctx, rng: Random, span: int = 3):
-    return sampling.vertex(ctx, rng, span=span)
 
 
 def all_perms_of(points: list[Point], even_only: bool) -> list[FinPerm]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from gluedprod.cli import main
 
 
@@ -102,6 +104,17 @@ def test_cube_transport(capsys):
     assert "fiber" in err or "s=" in err
 
 
+@pytest.mark.parametrize("vertex, message", [
+    ("{bad", "malformed vertex"),
+    ("[1]", "a vertex is a JSON object"),
+    ('{"removed": "g:1"}', "vertex fields 'removed' and 'added' must be lists"),
+])
+def test_cube_transport_rejects_malformed_vertices(capsys, vertex, message):
+    code, out, err = run_cli(capsys, "cube", "transport", "--from", vertex, "--to", "{}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_lef_check_report(capsys):
     code, out, _ = run_cli(capsys, "lef", "check", "-n", "1",
                            "--mode", "sample:500", "--modulus", "17")
@@ -186,6 +199,21 @@ def test_lef_check_rejects_bad_sample_counts(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: bad mode") and err.count("\n") == 1
+
+
+def test_lef_check_rejects_a_radius_below_one(capsys):
+    for n in ("-1", "0"):
+        code, out, err = run_cli(capsys, "lef", "check", "-n", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: the window radius n must be at least 1, got {n}\n"
+
+
+def test_classify_verify_refuses_more_points_than_the_cap(capsys):
+    code, out, err = run_cli(capsys, "classify", "--verify",
+                             "--left", '{"type": "cyclic", "n": 40}',
+                             "--right", '{"type": "cyclic", "n": 40}')
+    assert (code, out) == (2, "")
+    assert err == "error: 79 points exceeds the cap of 64\n"
 
 
 def test_suite_reports_inapplicable_checks_as_skipped(capsys):

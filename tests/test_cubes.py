@@ -24,8 +24,9 @@ from gluedprod.cubes import (
     vertex_ball,
     whole_g_side,
 )
-
-from conftest import random_element, random_points, random_vertex
+from gluedprod.sampling import element as random_element
+from gluedprod.sampling import points as random_points
+from gluedprod.sampling import vertex as random_vertex
 
 
 def test_s_invariant_examples():

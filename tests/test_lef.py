@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 import pytest
 
 from gluedprod import (
+    BudgetError,
     CyclicGroup,
     GroupSpecError,
     IntegersGroup,
@@ -22,6 +24,7 @@ from gluedprod.lef import (
     in_window,
     lef_mixed,
     random_window_element,
+    window,
     window_elements,
     window_points,
 )
@@ -79,6 +82,16 @@ def test_window_elements_count(zz_fast):
     assert all(s.a.is_even() for s in f1)
 
 
+def test_window_size_is_known_before_enumeration(zz_fast):
+    for ctx in (zz_fast, PvContext(IntegersGroup(), CyclicGroup(2)),
+                PvContext(IntegersGroup(), CyclicGroup(3))):
+        assert window(ctx, 1).size == len(window_elements(ctx, 1))
+    assert window(zz_fast, 2).size == 25 * math.factorial(9) // 2
+    # the pair budget refuses F_2 x F_2 without building F_2
+    with pytest.raises(BudgetError):
+        Approximation(zz_fast, 2).check_multiplicativity(mode="exhaustive")
+
+
 def test_phi_on_generators(zz_fast):
     approx = Approximation(zz_fast, 1, modulus=17)
     union = approx.funion
@@ -103,6 +116,12 @@ def test_phi_insufficient_radius(zz_fast):
     q = build_quotient(IntegersGroup(), 2)
     with pytest.raises(GroupSpecError):
         Approximation(zz_fast, 1, quotient_g=q, quotient_h=q)
+
+
+def test_window_radius_must_be_positive(zz_fast):
+    for n in (0, -1):
+        with pytest.raises(GroupSpecError):
+            Approximation(zz_fast, n)
 
 
 def test_point_bijection_and_equivariance(zz_fast):
@@ -202,6 +221,16 @@ def test_failing_case_keeps_count_and_labels_the_pair(zz_fast, monkeypatch):
     for label in report.failures:
         left, right = label.split(" | ")
         assert left in window and right in window
+
+
+def test_failing_pushforward_fails_its_own_check(zz_fast, monkeypatch):
+    approx = Approximation(zz_fast, 1, modulus=17)
+    monkeypatch.setattr(approx, "pushforward",
+                        lambda a: identity_dense(approx.funion.n))
+    report = approx.check_pushforward(mode="sample", sample=300, seed=3)
+    assert not report.ok
+    assert report.pairs_checked == 159
+    assert all(label.startswith("residual (") for label in report.failures)
 
 
 PINNED_SETUPS = {

@@ -19,8 +19,7 @@ from gluedprod import (
     three_cycle,
     transposition,
 )
-
-from conftest import random_points
+from gluedprod.sampling import points as random_points
 
 
 @pytest.fixture
