@@ -213,18 +213,30 @@ class PvContext:
         return out
 
     def normalize(self, word: Iterable[Letter]) -> PvElement:
-        """Left-fold of the product over a word of letters."""
-        out = self.identity
+        """Normal form of the product of a word of letters.
+
+        The letters are built left to right, so the first bad letter is
+        the one reported, and the product is folded from the right.
+        ``multiply(s1, s2)`` transports ``s1.a`` through the factor parts
+        of ``s2`` point by point but only composes ``s2.a``; with the
+        single letter on the left, each step moves at most that letter's
+        few residual points instead of the whole accumulated residual,
+        so a word of L letters costs O(L) group operations, not O(L^2).
+        The normal form is canonical, so the result equals the left fold.
+        """
+        letters = []
         for kind, value in word:
             if kind == "G":
-                letter = self.from_g(value)
+                letters.append(self.from_g(value))
             elif kind == "H":
-                letter = self.from_h(value)
+                letters.append(self.from_h(value))
             elif kind == "PERM":
-                letter = self.from_perm(value)
+                letters.append(self.from_perm(value))
             else:
                 raise WordParseError(f"unknown letter kind {kind!r}")
-            out = self.multiply(out, letter)
+        out = self.identity
+        for letter in reversed(letters):
+            out = self.multiply(letter, out)
         return out
 
     def power(self, s: PvElement, n: int) -> PvElement:

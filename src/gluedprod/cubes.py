@@ -228,7 +228,8 @@ def growth_witness(ctx: PvContext, max_len: int) -> list[tuple[list, int]]:
     step = ctx.multiply(ctx.from_h(h), ctx.from_g(g))
     word: list = []
     for k in range(1, max_len // 2 + 1):
-        element = ctx.multiply(element, step)
+        # prepend: multiply transports only its first argument's residual
+        element = ctx.multiply(step, element)
         word = word + [("H", h), ("G", g)]
         out.append((list(word), distance(act_vertex(ctx, element, base), base)))
     return out

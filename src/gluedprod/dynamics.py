@@ -41,6 +41,8 @@ def free_semigroup_check(ctx: PvContext, g: str, h: str,
     The elements must have infinite order; 2^(L+1) - 2 words are reduced
     to normal form and compared for pairwise distinctness.
     """
+    if max_len < 1:
+        raise GroupSpecError(f"word length must be at least 1, got {max_len}")
     g = ctx.G.parse(g)
     h = ctx.H.parse(h)
     if ctx.G.element_order(g) is not None:
@@ -106,6 +108,8 @@ FOLNER_SCHEMES = {
 
 def folner_set(ctx: PvContext, n: int) -> FolnerSet:
     """The shifted Folner set of the first factor, as points of the G side."""
+    if n < 0:
+        raise GroupSpecError(f"Folner radius must be at least 0, got {n}")
     scheme = FOLNER_SCHEMES.get(ctx.G.kind)
     if scheme is None:
         raise GroupSpecError(f"no Folner scheme registered for kind {ctx.G.kind!r}")

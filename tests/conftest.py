@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-from gluedprod import CyclicGroup, FinPerm, IntegersGroup, Point, PvContext
+from gluedprod import CyclicGroup, IntegersGroup, PvContext
 from gluedprod.suites import finite_catalog  # noqa: F401  (shared with the test modules)
 
 
@@ -48,13 +46,3 @@ def mulclose(gens: list[tuple[int, ...]], limit: int = 10**6) -> set[tuple[int, 
         frontier = nxt
     return elements
 
-
-def all_perms_of(points: list[Point], even_only: bool) -> list[FinPerm]:
-    """Every (even) permutation supported inside the given point set."""
-    out = []
-    for images in itertools.permutations(points):
-        perm = FinPerm(dict(zip(points, images)))
-        if even_only and not perm.is_even():
-            continue
-        out.append(perm)
-    return out

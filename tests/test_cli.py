@@ -141,6 +141,17 @@ def test_folner_cli(capsys):
     assert out.strip() == "0/1"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("folner", "--n", "-3", "--test", "G:1"), "Folner radius must be at least 0, got -3"),
+    (("pong", "--g", "1", "--h", "1", "-L", "-1"), "word length must be at least 1, got -1"),
+    (("pong", "--g", "1", "--h", "1", "-L", "0"), "word length must be at least 1, got 0"),
+])
+def test_negative_sizes_are_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_suite_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "suite", "dynamics", "--seed", "7")
     code2, out2, _ = run_cli(capsys, "suite", "dynamics", "--seed", "7")
