@@ -85,7 +85,8 @@ def cmd_classify(args) -> int:
 
 def cmd_cube_ball(args) -> int:
     ctx = _context(args)
-    vertices = cubes.vertex_ball(ctx, args.radius, args.payload_bound or args.radius)
+    bound = args.radius if args.payload_bound is None else args.payload_bound
+    vertices = cubes.vertex_ball(ctx, args.radius, bound)
     if args.format == "jsonl":
         for v in vertices:
             print(json.dumps(_vertex_record(ctx, v), sort_keys=True))

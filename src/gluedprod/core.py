@@ -153,33 +153,35 @@ class PvContext:
 
         The residual is the commutator 3-cycle of the two inner letters,
         conjugated into place, times the transported first residual,
-        times the second residual.
+        times the second residual.  Identity parts cost nothing: no
+        group operation runs on them and no translation applies them.
         """
         G, H, pu = self.G, self.H, self.union
-        g = G.mul(s1.g, s2.g)
-        h = H.mul(s1.h, s2.h)
-        g2i = G.inv(s2.g)
-        h2i = H.inv(s2.h)
+        eg, eh = G.identity, H.identity
+        g1, h1, g2, h2 = s1.g, s1.h, s2.g, s2.h
+        g = g2 if g1 == eg else g1 if g2 == eg else G.mul(g1, g2)
+        h = h2 if h1 == eh else h1 if h2 == eh else H.mul(h1, h2)
 
-        if s1.h != H.identity and s2.g != G.identity:
-            cyc = three_cycle(BASE, pu.h_point(H.inv(s1.h)), pu.g_point(g2i))
-            if s2.h != H.identity:
-                t1 = self._transport(cyc, lambda p: pu.apply_factor("h", h2i, p))
-            else:
-                t1 = cyc
-        else:
-            t1 = FinPerm.identity()
+        commutes = h1 == eh or g2 == eg
+        transported = bool(s1.a) and (g2 != eg or h2 != eh)
+        t1 = FinPerm.identity()
+        t2 = s1.a
+        if not commutes or transported:
+            g2i = G.inv(g2) if g2 != eg else eg
+            h2i = H.inv(h2) if h2 != eh else eh
 
-        if s1.a:
-            if s2.g == G.identity and s2.h == H.identity:
-                t2 = s1.a
-            else:
-                def back(p: Point) -> Point:
-                    return pu.apply_factor("h", h2i, pu.apply_factor("g", g2i, p))
+            def by_h(p: Point) -> Point:
+                return pu.apply_factor("h", h2i, p) if h2 != eh else p
 
-                t2 = self._transport(s1.a, back)
-        else:
-            t2 = FinPerm.identity()
+            def back(p: Point) -> Point:
+                return by_h(pu.apply_factor("g", g2i, p) if g2 != eg else p)
+
+            if not commutes:
+                t1 = three_cycle(BASE, pu.h_point(H.inv(h1)), pu.g_point(g2i))
+                if h2 != eh:
+                    t1 = self._transport(t1, by_h)
+            if transported:
+                t2 = self._transport(t2, back)
 
         a = t1.compose(t2).compose(s2.a)
         out = PvElement(g, h, a)

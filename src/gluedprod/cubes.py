@@ -182,6 +182,9 @@ def transporter(ctx: PvContext, v: CubeVertex, w: CubeVertex) -> PvElement:
 def vertex_ball(ctx: PvContext, radius: int, payload_bound: int) -> list[CubeVertex]:
     """All vertices within ledger size ``radius`` over bounded payloads."""
     _require_both_infinite(ctx)
+    for what, value in (("ball radius", radius), ("payload bound", payload_bound)):
+        if value < 0:
+            raise GroupSpecError(f"{what} must be at least 0, got {value}")
     g_pool = [BASE] + [
         Point("g", x) for x in ctx.G.ball(payload_bound) if x != ctx.G.identity
     ]

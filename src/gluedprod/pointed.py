@@ -19,6 +19,10 @@ class Point(NamedTuple):
     side: str  # 'e', 'g' or 'h'
     payload: str  # canonical element string; "" for the basepoint
 
+    def __str__(self) -> str:
+        """The text form: ``e`` for the basepoint, else ``side:payload``."""
+        return "e" if self.side == "e" else f"{self.side}:{self.payload}"
+
 
 BASE = Point("e", "")
 
@@ -27,7 +31,8 @@ class FinPerm:
     """A finitely supported permutation of the pointed union.
 
     Only non-fixed points are stored; the identity is the empty mapping.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable; the hash is computed on first
+    use, since most intermediate products are never hashed.
     """
 
     __slots__ = ("_moved", "_hash")
@@ -37,28 +42,29 @@ class FinPerm:
         if set(cleaned.values()) != set(cleaned):
             raise WordParseError("mapping is not a permutation of its support")
         self._moved = cleaned
-        self._hash = hash(frozenset(cleaned.items()))
+        self._hash = None
 
     @classmethod
     def _trusted(cls, cleaned: dict[Point, Point]) -> "FinPerm":
         out = object.__new__(cls)
         out._moved = cleaned
-        out._hash = hash(frozenset(cleaned.items()))
+        out._hash = None
         return out
 
     @classmethod
     def identity(cls) -> "FinPerm":
-        return cls._trusted({})
+        return _IDENTITY
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[Point]]) -> "FinPerm":
         moved: dict[Point, Point] = {}
         for cycle in cycles:
             if len(set(cycle)) != len(cycle):
-                raise WordParseError(f"repeated point in cycle {cycle!r}")
+                text = " ".join(map(str, cycle))
+                raise WordParseError(f"repeated point in cycle ({text})")
             for p, q in zip(cycle, list(cycle[1:]) + list(cycle[:1])):
                 if p in moved:
-                    raise WordParseError(f"point {p!r} appears in two cycles")
+                    raise WordParseError(f"point {p} appears in two cycles")
                 moved[p] = q
         return cls(moved)
 
@@ -77,6 +83,8 @@ class FinPerm:
         return isinstance(other, FinPerm) and self._moved == other._moved
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._moved.items()))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -92,16 +100,38 @@ class FinPerm:
         return frozenset(self._moved)
 
     def compose(self, other: "FinPerm") -> "FinPerm":
-        """(self o other): apply ``other`` first, then ``self``."""
-        moved = {}
-        for p in self._moved.keys() | other._moved.keys():
-            q = self._moved.get(other._moved.get(p, p), other._moved.get(p, p))
-            if q != p:
-                moved[p] = q
+        """(self o other): apply ``other`` first, then ``self``.
+
+        Copies the larger operand's mapping and patches only the points
+        the smaller one touches, so the Python work is O(support of the
+        smaller operand) plus C-level dict copies.  Reads go to the
+        unpatched operands: a patched entry must not be read back.
+        """
+        outer, inner = self._moved, other._moved
+        if not inner:
+            return self
+        if not outer:
+            return other
+        if len(outer) >= len(inner):
+            # p in supp(inner) maps to outer(inner(p)); elsewhere to outer(p)
+            moved = dict(outer)
+            patches = ((p, outer.get(q, q)) for p, q in inner.items())
+        else:
+            # only the preimages under inner of supp(outer) change: inner^-1(x) -> outer(x)
+            preimage = dict(zip(inner.values(), inner.keys()))
+            moved = dict(inner)
+            patches = ((preimage.get(x, x), r) for x, r in outer.items())
+        for p, r in patches:
+            if r == p:
+                moved.pop(p, None)
+            else:
+                moved[p] = r
         return FinPerm._trusted(moved)
 
     def inverse(self) -> "FinPerm":
-        return FinPerm._trusted({q: p for p, q in self._moved.items()})
+        if not self._moved:
+            return self
+        return FinPerm._trusted(dict(zip(self._moved.values(), self._moved.keys())))
 
     def cycles(self) -> list[tuple[Point, ...]]:
         """Cycle decomposition of the support, in traversal order."""
@@ -129,6 +159,9 @@ class FinPerm:
         from math import lcm
 
         return lcm(*(len(c) for c in self.cycles())) if self._moved else 1
+
+
+_IDENTITY = FinPerm._trusted({})
 
 
 def three_cycle(p: Point, q: Point, r: Point) -> FinPerm:
@@ -229,7 +262,7 @@ class PointedUnion:
     # text forms
 
     def format_point(self, p: Point) -> str:
-        return "e" if p.side == "e" else f"{p.side}:{p.payload}"
+        return str(p)
 
     def parse_point(self, text: str) -> Point:
         text = text.strip()

@@ -45,11 +45,20 @@ class SuiteConfig:
     right: dict = field(default_factory=lambda: {"type": "integers"})
     fmt: str = "text"
 
+    def limit(self) -> Optional[int]:
+        """The case budget: ``budget``, else ``PV_BUDGET``, else None (no cap)."""
+        if self.budget is not None:
+            source, value = "--budget", str(self.budget)
+        else:
+            source, value = "PV_BUDGET", os.environ.get("PV_BUDGET")
+            if value is None:
+                return None
+        if not value.strip().isdecimal() or int(value) < 1:
+            raise GluedError(f"{source} must be an integer of at least 1, got {value}")
+        return int(value)
+
     def cap(self, nominal: int) -> int:
-        env = os.environ.get("PV_BUDGET")
-        cap = self.budget
-        if cap is None and env is not None:
-            cap = int(env)
+        cap = self.limit()
         return nominal if cap is None else min(nominal, cap)
 
 
@@ -399,6 +408,7 @@ def run_suite(name: str, cfg: SuiteConfig,
     else:
         raise GluedError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(list(SUITE_NAMES) + ['all'])}")
+    cfg.limit()  # a bad budget is one error, not a failure of every check
     results = [run(cfg) for suite in names
                for check, run in _SUITES[suite].items()
                if only is None or check == only]

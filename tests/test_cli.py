@@ -31,6 +31,14 @@ def test_eval_parse_error(capsys):
     assert "position" in err
 
 
+def test_cycle_errors_print_point_text_forms(capsys):
+    for word, message in (("PERM:(g:1 g:1)", "repeated point in cycle (g:1 g:1)"),
+                          ("PERM:(g:1 h:2)(e h:2)", "point h:2 appears in two cycles")):
+        code, out, err = run_cli(capsys, "eval", word)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
 def test_eval_regime_error_surfaced(capsys):
     code, _, err = run_cli(
         capsys, "eval",
@@ -85,6 +93,25 @@ def test_cube_ball_dot(capsys):
     assert out.startswith("graph cube {")
     assert 'label="s=0"' in out
     assert "--" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--radius", "-1"), "ball radius must be at least 0, got -1"),
+    (("--radius", "1", "--payload-bound", "-2"), "payload bound must be at least 0, got -2"),
+])
+def test_cube_ball_rejects_negative_sizes(capsys, argv, message):
+    code, out, err = run_cli(capsys, "cube", "ball", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_cube_ball_payload_bound_zero_is_not_the_radius(capsys):
+    code, out, _ = run_cli(capsys, "cube", "ball", "--radius", "1",
+                           "--payload-bound", "0", "--format", "jsonl")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert records == [{"added": [], "removed": [], "s": 0},
+                       {"added": [], "removed": ["e"], "s": -1}]
 
 
 def test_cube_transport(capsys):
@@ -191,6 +218,28 @@ def test_suite_budget_cap(capsys):
     code, out, _ = run_cli(capsys, "suite", "core", "--budget", "50")
     assert code == 0
     assert "50 samples" in out
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (("--budget", "0"), None, "--budget must be an integer of at least 1, got 0"),
+    (("--budget", "-5"), None, "--budget must be an integer of at least 1, got -5"),
+    ((), "abc", "PV_BUDGET must be an integer of at least 1, got abc"),
+    ((), "0", "PV_BUDGET must be an integer of at least 1, got 0"),
+    ((), "2.5", "PV_BUDGET must be an integer of at least 1, got 2.5"),
+])
+def test_suite_rejects_a_budget_below_one(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("PV_BUDGET", env)
+    code, out, err = run_cli(capsys, "suite", "core", "--only", "projection-monolith", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_suite_budget_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("PV_BUDGET", "20")
+    code, out, _ = run_cli(capsys, "suite", "core", "--only", "residual-parity")
+    assert code == 0
+    assert out.strip() == "ok   core.residual-parity  20 products even"
 
 
 def test_bad_factor_spec_is_one_error_line(tmp_path, capsys):

@@ -130,6 +130,54 @@ def test_support_closure(a):
         assert a(p) in a.support()
 
 
+POOL = [BASE] + [Point(side, str(k)) for side in "gh" for k in range(-6, 7) if k]
+
+
+@st.composite
+def deranged(draw, pool, min_size, max_size):
+    """A FinPerm whose support is exactly ``min_size``..``max_size`` points of ``pool``."""
+    chosen = draw(st.lists(st.sampled_from(pool), unique=True,
+                           min_size=min_size, max_size=max_size))
+    if len(chosen) < 2:
+        return FinPerm.identity()
+    # one cycle, or two when a cut leaves at least two points on each side
+    cut = draw(st.sampled_from([len(chosen)] + list(range(2, len(chosen) - 1))))
+    return FinPerm.from_cycles(c for c in (chosen[:cut], chosen[cut:]) if c)
+
+
+@st.composite
+def compose_operands(draw, shape):
+    """(left, right) for ``left.compose(right)``, overlapping or disjoint."""
+    pool = draw(st.permutations(POOL))
+    overlap = draw(st.booleans())
+    big_pool, small_pool = (pool, pool) if overlap else (pool[:16], pool[16:])
+    big = draw(deranged(big_pool, 5, 14))
+    small = draw(deranged(small_pool, 2, 4))
+    if shape == "left-larger":
+        return big, small
+    if shape == "right-larger":
+        return small, big
+    other = draw(st.sampled_from([big, small]))
+    return (FinPerm.identity(), other) if shape == "left-identity" else (other, FinPerm({}))
+
+
+@pytest.mark.parametrize("shape", ["left-larger", "right-larger",
+                                   "left-identity", "right-identity"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_compose_matches_the_pointwise_definition(shape, data):
+    a, b = data.draw(compose_operands(shape))
+    before = (a.moved, b.moved)
+    c = a.compose(b)
+    pointwise = {p: a(b(p)) for p in a.support() | b.support() if a(b(p)) != p}
+    assert c.moved == pointwise
+    assert (a.moved, b.moved) == before
+    rebuilt = FinPerm(c.moved)
+    assert c == rebuilt and hash(c) == hash(rebuilt)
+    for x in (a, b, c):
+        assert not x.compose(x.inverse()) and not x.inverse().compose(x)
+
+
 def test_perm_text_roundtrip(pu):
     cyc = three_cycle(BASE, Point("g", "1"), Point("h", "2"))
     text = pu.format_perm(cyc)

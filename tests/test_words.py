@@ -1,12 +1,15 @@
-"""Word evaluation: the right fold in ``normalize`` against independent oracles.
+"""Word evaluation and the product law against independent oracles.
 
 ``normalize`` folds a word from the right; the oracles are an explicit
 left fold of ``multiply`` and the point action of the letters applied one
 by one.  The normal form is canonical, so all three must agree exactly.
+``multiply`` and ``invert`` on random elements, some of whose parts are
+the identity, are checked against the point action as well.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import reduce
 from random import Random
 
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from gluedprod import (
     BASE,
     CyclicGroup,
+    FinPerm,
     FreeGroup,
     IntegersGroup,
     LatticeGroup,
@@ -25,6 +29,7 @@ from gluedprod import (
     TableGroup,
     symmetric_group_table,
 )
+from gluedprod.sampling import element as sample_element
 from gluedprod.sampling import even_perm
 from gluedprod.sampling import points as random_points
 
@@ -88,18 +93,57 @@ def test_normalize_matches_left_fold_and_action(name, check, seed, length):
         assert ctx.act(out, p) == q
 
 
+def random_element(ctx: PvContext, rng: Random):
+    """A sampled element with each of its parts replaced by the identity one time in four."""
+    identities = {"g": ctx.G.identity, "h": ctx.H.identity, "a": FinPerm.identity()}
+    dropped = {part: e for part, e in identities.items() if rng.random() < 0.25}
+    return replace(sample_element(ctx, rng, span=3), **dropped)
+
+
+@pytest.mark.parametrize("check", [False, True], ids=["fast", "check"])
+@pytest.mark.parametrize("name", ["ZxZ", "F2xZ", "Z2xZ", "ZxZ/3", "ZxS3"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_multiply_and_invert_match_the_action(name, check, seed):
+    ctx = make_context(name, check)
+    rng = Random(seed)
+    x, y = random_element(ctx, rng), random_element(ctx, rng)
+    xy = ctx.multiply(x, y)
+    x_inv = ctx.invert(x)
+    assert ctx.multiply(x_inv, x) == ctx.identity
+    assert ctx.multiply(x, x_inv) == ctx.identity
+
+    probes = {BASE} | set(random_points(ctx, rng, 12, span=4))
+    for s in (x, y, xy):
+        probes |= set(s.a.support())
+        probes |= {ctx.union.g_point(s.g), ctx.union.g_point(ctx.G.inv(s.g)),
+                   ctx.union.h_point(s.h), ctx.union.h_point(ctx.H.inv(s.h))}
+    for p in probes:
+        assert ctx.act(xy, p) == ctx.act(x, ctx.act(y, p))
+        assert ctx.act(x_inv, ctx.act(x, p)) == p
+
+
 def test_word_evaluation_is_linear_in_length(monkeypatch):
-    calls = 0
-    apply_factor = PointedUnion.apply_factor
-
-    def counting(self, side, x, p):
-        nonlocal calls
-        calls += 1
-        return apply_factor(self, side, x, p)
-
-    monkeypatch.setattr(PointedUnion, "apply_factor", counting)
     ctx = make_context("ZxZ", check=False)
+    calls = {"apply_factor": 0, "multiply": 0, "mul": 0}
+
+    def counting(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(PointedUnion, "apply_factor", "apply_factor")
+    counting(PvContext, "multiply", "multiply")
+    counting(ctx.G, "mul", "mul")
+    counting(ctx.H, "mul", "mul")
     length = 128
     word = random_word(ctx, Random(128), length)
     ctx.normalize(word)
-    assert calls <= 8 * length
+    assert calls["multiply"] == length
+    assert calls["apply_factor"] <= 8 * length
+    # identity parts cost no group operation: 211 factor muls for 128
+    # products (426 when every product multiplied and inverted all parts)
+    assert calls["mul"] <= 1.65 * calls["multiply"]
