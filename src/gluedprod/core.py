@@ -277,11 +277,6 @@ class PvContext:
         """The canonical epimorphism onto the infinite factor G."""
         return s.g
 
-    def project_h(self, s: PvElement) -> str:
-        if self.regime != BOTH_INFINITE:
-            raise RegimeError("the H-projection is undefined when H is finite")
-        return s.h
-
     def in_monolith(self, s: PvElement) -> bool:
         """Membership in the minimal normal subgroup (kernel of project)."""
         if self.regime != BOTH_INFINITE:

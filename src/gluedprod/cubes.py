@@ -11,11 +11,13 @@ connected by explicit even finitely supported permutations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import BOTH_INFINITE, PvContext, PvElement
 from .errors import (
+    BudgetError,
     FiberMismatchError,
     GluedError,
     GroupSpecError,
@@ -23,7 +25,9 @@ from .errors import (
     WordParseError,
 )
 from .groups import GroupHandle
-from .pointed import BASE, FinPerm, Point, transposition
+from .pointed import BASE, FinPerm, Point, side_points, transposition
+
+BALL_VERTEX_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -180,15 +184,21 @@ def transporter(ctx: PvContext, v: CubeVertex, w: CubeVertex) -> PvElement:
 
 
 def vertex_ball(ctx: PvContext, radius: int, payload_bound: int) -> list[CubeVertex]:
-    """All vertices within ledger size ``radius`` over bounded payloads."""
+    """All vertices within ledger size ``radius`` over bounded payloads.
+
+    A ball of more than ``BALL_VERTEX_CAP`` vertices is refused before it
+    is built.
+    """
     _require_both_infinite(ctx)
     for what, value in (("ball radius", radius), ("payload bound", payload_bound)):
         if value < 0:
             raise GroupSpecError(f"{what} must be at least 0, got {value}")
-    g_pool = [BASE] + [
-        Point("g", x) for x in ctx.G.ball(payload_bound) if x != ctx.G.identity
-    ]
-    h_pool = [Point("h", y) for y in ctx.H.ball(payload_bound) if y != ctx.H.identity]
+    g_pool = (BASE,) + side_points(ctx.G, "g", payload_bound)
+    h_pool = side_points(ctx.H, "h", payload_bound)
+    # a vertex is a choice of at most ``radius`` ledger points from both pools
+    count = sum(math.comb(len(g_pool) + len(h_pool), t) for t in range(radius + 1))
+    if count > BALL_VERTEX_CAP:
+        raise BudgetError(f"{count} vertices exceed the cap of {BALL_VERTEX_CAP}")
     out = []
     for total in range(radius + 1):
         for k in range(total + 1):
@@ -199,13 +209,21 @@ def vertex_ball(ctx: PvContext, radius: int, payload_bound: int) -> list[CubeVer
 
 
 def edges(vertices: Sequence[CubeVertex]) -> list[tuple[int, int]]:
-    """Index pairs of adjacent vertices."""
+    """Sorted index pairs (i, j), i < j, of adjacent distinct vertices.
+
+    Adjacent vertices differ by one ledger point, so each pair is found
+    from its larger vertex by dropping one point of its ledger.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
     out = []
     for i, v in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            if adjacent(v, vertices[j]):
-                out.append((i, j))
-    return out
+        smaller = [CubeVertex(v.removed - {p}, v.added) for p in v.removed]
+        smaller += [CubeVertex(v.removed, v.added - {p}) for p in v.added]
+        for w in smaller:
+            j = index.get(w)
+            if j is not None:
+                out.append((min(i, j), max(i, j)))
+    return sorted(out)
 
 
 def first_infinite_order(handle: GroupHandle, span: int = 2) -> str:

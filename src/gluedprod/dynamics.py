@@ -10,6 +10,7 @@ the other factor fixes them pointwise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -80,46 +81,22 @@ class FolnerSet:
     shift: str
 
 
-def _interval_scheme(G, n: int) -> tuple[list[str], str]:
-    shift = str(n + 1)
-    return [G.mul(str(k), shift) for k in range(-n, n + 1)], shift
-
-
-def _box_scheme(G, n: int) -> tuple[list[str], str]:
-    shift = G.parse(",".join([str(n + 1)] + ["0"] * (G.d - 1)))
-    box = []
-
-    def rec(prefix, slots):
-        if slots == 0:
-            box.append(",".join(prefix))
-            return
-        for c in range(-n, n + 1):
-            rec(prefix + [str(c)], slots - 1)
-
-    rec([], G.d)
-    return [G.mul(x, shift) for x in box], shift
-
-
-FOLNER_SCHEMES = {
-    "integers": _interval_scheme,
-    "lattice": _box_scheme,
-}
-
-
 def folner_set(ctx: PvContext, n: int) -> FolnerSet:
-    """The shifted Folner set of the first factor, as points of the G side."""
+    """The shifted Folner set of the first factor, as points of the G side.
+
+    Z is Z^d with d = 1: the set is the box [-n, n]^d shifted by
+    (n + 1, 0, ..., 0), so it avoids the basepoint.  Its points are
+    written directly in the canonical form, comma-separated decimals.
+    """
     if n < 0:
         raise GroupSpecError(f"Folner radius must be at least 0, got {n}")
-    scheme = FOLNER_SCHEMES.get(ctx.G.kind)
-    if scheme is None:
-        raise GroupSpecError(f"no Folner scheme registered for kind {ctx.G.kind!r}")
-    elements, shift = scheme(ctx.G, n)
-    points = frozenset(Point("g", x) for x in elements)
-    if len(points) != len(elements):
-        raise GroupSpecError("Folner scheme produced duplicate points")
-    for p in points:
-        if p.payload == ctx.G.identity:
-            raise GroupSpecError("Folner set must avoid the basepoint")
+    G = ctx.G
+    if G.kind not in ("integers", "lattice"):
+        raise GroupSpecError(f"no Folner scheme registered for kind {G.kind!r}")
+    d = G.d if G.kind == "lattice" else 1
+    shift = G.parse(",".join([str(n + 1)] + ["0"] * (d - 1)))
+    box = itertools.product(range(1, 2 * n + 2), *[range(-n, n + 1)] * (d - 1))
+    points = frozenset(Point("g", ",".join(map(str, c))) for c in box)
     return FolnerSet(points, n, shift)
 
 

@@ -24,50 +24,11 @@ from .groups import (
     parity_dense,
     schreier_sims_order,
 )
+from .pointed import PointedUnion
 
 
 def identity_dense(n: int) -> DensePerm:
     return tuple(range(n))
-
-
-class FiniteUnion:
-    """Index scheme for the pointed union of two finite groups.
-
-    Index 0 is the basepoint, then the nonidentity G elements in
-    canonical order, then the nonidentity H elements.
-    """
-
-    def __init__(self, G: GroupHandle, H: GroupHandle):
-        if not (G.is_finite and H.is_finite):
-            raise GroupSpecError("FiniteUnion needs two finite factors")
-        self.G = G
-        self.H = H
-        self.n = G.order() + H.order() - 1
-        self._index: dict[tuple[str, str], int] = {}
-        self._points: list[tuple[str, str]] = [("e", "")]
-        for side, handle in (("g", G), ("h", H)):
-            for x in handle.elements():
-                if x != handle.identity:
-                    self._points.append((side, x))
-        for i, key in enumerate(self._points):
-            self._index[key] = i
-
-    def index(self, side: str, x: str) -> int:
-        handle = self.G if side == "g" else self.H
-        if x == handle.identity:
-            return 0
-        return self._index[(side, x)]
-
-    def label(self, i: int) -> tuple[str, str]:
-        return self._points[i]
-
-    def translation(self, side: str, x: str) -> DensePerm:
-        """Left translation by x on its own block, fixing the other block."""
-        handle = self.G if side == "g" else self.H
-        images = list(range(self.n))
-        for y in handle.elements():
-            images[self.index(side, y)] = self.index(side, handle.mul(x, y))
-        return tuple(images)
 
 
 def realize_finite(G: GroupHandle, H: GroupHandle,
@@ -76,17 +37,20 @@ def realize_finite(G: GroupHandle, H: GroupHandle,
     """Dense generators of the glued product of two finite groups.
 
     Defaults to one permutation per nonidentity element of each factor;
-    pass explicit factor generating sets to restrict.
+    pass explicit factor generating sets to restrict.  The points are
+    numbered as in ``PointedUnion.points``.
     """
-    union = FiniteUnion(G, H)
+    if not (G.is_finite and H.is_finite):
+        raise GroupSpecError("realize_finite needs two finite factors")
+    union = PointedUnion(G, H)
     if generators is None:
         gen_g = [x for x in G.elements() if x != G.identity]
         gen_h = [y for y in H.elements() if y != H.identity]
     else:
         gen_g = [G.parse(x) for x in generators[0]]
         gen_h = [H.parse(y) for y in generators[1]]
-    out = [union.translation("g", x) for x in gen_g]
-    out += [union.translation("h", y) for y in gen_h]
+    out = [union.dense(union.translation("g", x)) for x in gen_g]
+    out += [union.dense(union.translation("h", y)) for y in gen_h]
     return out
 
 
@@ -139,7 +103,7 @@ def classify(G: GroupHandle, H: GroupHandle) -> str:
 
 def glued_order(G: GroupHandle, H: GroupHandle) -> int:
     """Order of the glued product computed by Schreier-Sims."""
-    if G.is_finite and H.is_finite:  # FiniteUnion rejects the other factors
+    if G.is_finite and H.is_finite:  # realize_finite rejects the other factors
         check_point_cap(G.order() + H.order() - 1)
     return schreier_sims_order(realize_finite(G, H))
 

@@ -69,10 +69,6 @@ class GroupHandle:
         """
         raise NotImplementedError
 
-    def spec(self) -> dict:
-        """A JSON-serialisable spec that reparses to an equal handle."""
-        raise NotImplementedError
-
     def elements(self) -> list[str]:
         """All elements of a finite group, in canonical order."""
         n = self.order()
@@ -111,18 +107,6 @@ class GroupHandle:
             y = self.mul(y, x)
             k += 1
         return k
-
-    def power(self, x: str, n: int) -> str:
-        if n < 0:
-            return self.power(self.inv(x), -n)
-        acc = self.identity
-        base = x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return acc
 
 
 class CyclicGroup(GroupHandle):
@@ -165,9 +149,6 @@ class CyclicGroup(GroupHandle):
     def element_order(self, x):
         return self.n // gcd(self.n, int(x))
 
-    def spec(self):
-        return {"type": "cyclic", "n": self.n}
-
 
 class IntegersGroup(GroupHandle):
     kind = "integers"
@@ -206,9 +187,6 @@ class IntegersGroup(GroupHandle):
         for k in itertools.count(1):
             yield str(k)
             yield str(-k)
-
-    def spec(self):
-        return {"type": "integers"}
 
 
 class LatticeGroup(GroupHandle):
@@ -276,9 +254,6 @@ class LatticeGroup(GroupHandle):
         for r in itertools.count(0):
             for coords in self._sphere(r):
                 yield self._fmt(coords)
-
-    def spec(self):
-        return {"type": "lattice", "d": self.d}
 
 
 class FreeGroup(GroupHandle):
@@ -354,9 +329,6 @@ class FreeGroup(GroupHandle):
                     nxt.append(w + c)
             yield from nxt
             layer = nxt
-
-    def spec(self):
-        return {"type": "free", "rank": self.rank}
 
 
 class TableGroup(GroupHandle):
@@ -438,9 +410,6 @@ class TableGroup(GroupHandle):
         for i in range(self.n):
             if i != self._e:
                 yield str(i)
-
-    def spec(self):
-        return {"type": "table", "table": self.table}
 
 
 def parse_group(spec: dict) -> GroupHandle:

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional
 
 from .core import MIXED, PvContext, PvElement
 from .errors import BudgetError, GroupSpecError, MembershipError
-from .finite import DensePerm, FiniteUnion, compose_dense, parity_dense
+from .finite import DensePerm, compose_dense, parity_dense
 from .groups import (
     CyclicGroup,
     GroupHandle,
@@ -31,7 +31,7 @@ from .groups import (
     cyclic_table,
     direct_product_table,
 )
-from .pointed import BASE, FinPerm, Point
+from .pointed import BASE, FinPerm, Point, PointedUnion, random_perm, side_points
 
 DEFAULT_PAIR_BUDGET = 10**7
 
@@ -136,17 +136,13 @@ def window(ctx: PvContext, n: int) -> Window:
     """
     h_trivial = ctx.regime == MIXED
     g_ball = ctx.G.ball(n)
-    h_points = ctx.H.elements() if h_trivial else ctx.H.ball(n)
-    h_ball = [ctx.H.identity] if h_trivial else h_points
-    point_set = frozenset(
-        [BASE]
-        + [Point("g", x) for x in g_ball if x != ctx.G.identity]
-        + [Point("h", y) for y in h_points if y != ctx.H.identity]
-    )
+    h_ball = [ctx.H.identity] if h_trivial else ctx.H.ball(n)
+    points = ((BASE,) + side_points(ctx.G, "g", n)
+              + side_points(ctx.H, "h", None if h_trivial else n))
     even = not ctx.mixed_symmetric
-    residuals = math.factorial(len(point_set)) // (2 if even and len(point_set) > 1 else 1)
-    return Window(tuple(ctx.union.sorted_points(point_set)), point_set, tuple(g_ball),
-                  tuple(h_ball), h_trivial, even, len(g_ball) * len(h_ball) * residuals)
+    residuals = math.factorial(len(points)) // (2 if even and len(points) > 1 else 1)
+    return Window(points, frozenset(points), tuple(g_ball), tuple(h_ball), h_trivial,
+                  even, len(g_ball) * len(h_ball) * residuals)
 
 
 def window_points(ctx: PvContext, n: int) -> frozenset[Point]:
@@ -179,12 +175,7 @@ def window_elements(ctx: PvContext, n: int) -> list[PvElement]:
 
 def random_window_element(ctx: PvContext, n: int, rng: Random) -> PvElement:
     w = window(ctx, n)
-    images = list(w.points)
-    rng.shuffle(images)
-    perm = FinPerm(dict(zip(w.points, images)))
-    if w.even and not perm.is_even():
-        images[0], images[1] = images[1], images[0]
-        perm = FinPerm(dict(zip(w.points, images)))
+    perm = random_perm(w.points, rng, w.even)
     g = rng.choice(w.g_ball)
     h = w.h_ball[0] if w.h_trivial else rng.choice(w.h_ball)
     return PvElement(g, h, perm)
@@ -252,7 +243,7 @@ class Approximation:
                 raise GroupSpecError(
                     f"quotient injectivity radius {q.injectivity_radius} < 4n = {4 * n}"
                 )
-        self.funion = FiniteUnion(self.qg.target, self.qh.target)
+        self.target = PointedUnion(self.qg.target, self.qh.target)
         self._translations: dict[tuple[str, str], DensePerm] = {}
         self._point_images: dict[Point, int] = {}
 
@@ -263,20 +254,19 @@ class Approximation:
         image = self._point_images.get(p)
         if image is None:
             q = self.qg if p.side == "g" else self.qh
-            image = 0 if p.side == "e" else self.funion.index(p.side, q.proj(p.payload))
-            self._point_images[p] = image
+            projected = p if p == BASE else self.target.point(p.side, q.proj(p.payload))
+            image = self._point_images[p] = self.target.index[projected]
         return image
 
     def _translation(self, side: str, x: str) -> DensePerm:
-        key = (side, x)
-        cached = self._translations.get(key)
+        cached = self._translations.get((side, x))
         if cached is None:
-            cached = self.funion.translation(side, x)
-            self._translations[key] = cached
+            cached = self.target.dense(self.target.translation(side, x))
+            self._translations[side, x] = cached
         return cached
 
     def pushforward(self, a: FinPerm) -> DensePerm:
-        images = list(range(self.funion.n))
+        images = list(range(len(self.target.index)))
         for p, q in a.items():
             images[self.point_image(p)] = self.point_image(q)
         return tuple(images)

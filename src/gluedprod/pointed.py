@@ -9,10 +9,12 @@ the two copies together.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from random import Random
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import WordParseError
-from .groups import GroupHandle
+from .groups import DensePerm, GroupHandle
 
 
 class Point(NamedTuple):
@@ -177,6 +179,26 @@ def transposition(p: Point, q: Point) -> FinPerm:
     return FinPerm._trusted({p: q, q: p})
 
 
+def side_points(handle: GroupHandle, side: str,
+                radius: Optional[int] = None) -> tuple[Point, ...]:
+    """The non-basepoint points of one side in canonical order: those of
+    the radius ball, or of the whole finite side when ``radius`` is None."""
+    elements = handle.elements() if radius is None else handle.ball(radius)
+    return tuple(Point(side, x) for x in elements if x != handle.identity)
+
+
+def random_perm(points: Sequence[Point], rng: Random, even: bool) -> FinPerm:
+    """A shuffle of ``points``; when ``even`` and the shuffle is odd, its
+    first two images are swapped."""
+    images = list(points)
+    rng.shuffle(images)
+    perm = FinPerm(dict(zip(points, images)))
+    if even and not perm.is_even():
+        images[0], images[1] = images[1], images[0]
+        perm = FinPerm(dict(zip(points, images)))
+    return perm
+
+
 _POINT_RE = re.compile(r"^(e|[gh]:.+)$")
 
 
@@ -185,8 +207,9 @@ class PointedUnion:
 
     Provides point constructors (which collapse factor identities to the
     basepoint), the regular-on-own-side/trivial-elsewhere factor action,
-    a canonical total point order, and the text forms for points and
-    finitely supported permutations.
+    a canonical total point order, the text forms for points and
+    finitely supported permutations, and, for two finite factors, the
+    dense numbering of the points.
     """
 
     def __init__(self, G: GroupHandle, H: GroupHandle):
@@ -233,13 +256,28 @@ class PointedUnion:
             raise WordParseError(
                 f"translation by an element of infinite {handle!r} is not finitely supported"
             )
-        moved = {}
-        for y in handle.elements():
-            p = self.point(side, y)
-            q = self.point(side, handle.mul(x, y))
-            if p != q:
-                moved[p] = q
-        return FinPerm._trusted(moved)
+        points = {y: self.point(side, y) for y in handle.elements()}
+        images = ((p, points[handle.mul(x, y)]) for y, p in points.items())
+        return FinPerm._trusted({p: q for p, q in images if p != q})
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """All points of a finite union in dense order: the basepoint, then
+        the G side, then the H side, each in canonical order."""
+        return (BASE,) + side_points(self.G, "g") + side_points(self.H, "h")
+
+    @cached_property
+    def index(self) -> dict[Point, int]:
+        """The position of each point in ``points``."""
+        return {p: i for i, p in enumerate(self.points)}
+
+    def dense(self, a: FinPerm) -> DensePerm:
+        """``a`` as the tuple of image positions over ``points``."""
+        index = self.index
+        images = list(range(len(index)))
+        for p, q in a.items():
+            images[index[p]] = index[q]
+        return tuple(images)
 
     def sort_key(self, p: Point):
         """Canonical total order: basepoint, then the G side, then the H side."""
@@ -254,9 +292,7 @@ class PointedUnion:
     def enumerate_side(self, side: str) -> Iterable[Point]:
         """Non-basepoint points of one side in canonical order."""
         handle = self.handle(side)
-        for x in handle.enumerate_elements():
-            if x != handle.identity:
-                yield Point(side, x)
+        return (Point(side, x) for x in handle.enumerate_elements() if x != handle.identity)
 
     # ------------------------------------------------------------------
     # text forms

@@ -11,7 +11,7 @@ from random import Random
 
 from .core import PvContext, PvElement
 from .cubes import CubeVertex
-from .pointed import BASE, FinPerm, Point
+from .pointed import BASE, FinPerm, Point, random_perm, side_points
 
 
 @lru_cache(maxsize=128)
@@ -19,28 +19,15 @@ def _ball(handle, span: int) -> tuple[str, ...]:
     return tuple(handle.ball(span))
 
 
-@lru_cache(maxsize=128)
-def _side_points(handle, side: str, span: int) -> tuple[Point, ...]:
-    return tuple(
-        Point(side, x) for x in handle.ball(span) if x != handle.identity
-    )
+# cached for the samplers only: a cache on side_points itself would also
+# keep alive the quotient groups that each lef window builds
+_side_points = lru_cache(maxsize=128)(side_points)
 
 
 def even_perm(ctx, rng: Random, span: int = 6, size: int = 6) -> FinPerm:
     """A random even finitely supported permutation over small payloads."""
-    pool = list(_side_points(ctx.G, "g", span))
-    pool += _side_points(ctx.H, "h", span)
-    pool.append(BASE)
-    points = rng.sample(pool, min(size, len(pool)))
-    images = points[:]
-    rng.shuffle(images)
-    perm = FinPerm(dict(zip(points, images)))
-    if not perm.is_even():
-        if len(images) < 2:
-            return FinPerm.identity()
-        images[0], images[1] = images[1], images[0]
-        perm = FinPerm(dict(zip(points, images)))
-    return perm
+    pool = _side_points(ctx.G, "g", span) + _side_points(ctx.H, "h", span) + (BASE,)
+    return random_perm(rng.sample(pool, min(size, len(pool))), rng, even=True)
 
 
 def element(ctx: PvContext, rng: Random, span: int = 5) -> PvElement:
@@ -65,12 +52,8 @@ def points(owner, rng: Random, count: int, span: int = 8) -> list[Point]:
 
 
 def vertex(ctx, rng: Random, span: int = 3) -> CubeVertex:
-    removed = set()
-    added = set()
     g_pool = (BASE,) + _side_points(ctx.G, "g", span)
     h_pool = _side_points(ctx.H, "h", span)
-    for _ in range(rng.randint(0, 3)):
-        removed.add(rng.choice(g_pool))
-    for _ in range(rng.randint(0, 3)):
-        added.add(rng.choice(h_pool))
-    return CubeVertex(frozenset(removed), frozenset(added))
+    removed = frozenset(rng.choice(g_pool) for _ in range(rng.randint(0, 3)))
+    added = frozenset(rng.choice(h_pool) for _ in range(rng.randint(0, 3)))
+    return CubeVertex(removed, added)

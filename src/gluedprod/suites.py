@@ -21,7 +21,6 @@ from . import cubes, dynamics, lef
 from .core import PvContext
 from .errors import FiberMismatchError, GluedError, GroupSpecError, RegimeError
 from .finite import classify, translation_sign, verify_classification
-from .finite import FiniteUnion, parity_dense
 from .groups import (
     CyclicGroup,
     TableGroup,
@@ -30,6 +29,7 @@ from .groups import (
     parse_group,
     symmetric_group_table,
 )
+from .pointed import PointedUnion
 from .sampling import element as sample_element
 from .sampling import points as sample_points
 from .sampling import vertex as sample_vertex
@@ -216,9 +216,9 @@ def _finite_classification(cfg: SuiteConfig, rng: Random):
 @_check("finite", "translation-signs")
 def _finite_translation_signs(cfg: SuiteConfig, rng: Random):
     for name, G in finite_catalog().items():
-        union = FiniteUnion(G, CyclicGroup(2))
+        union = PointedUnion(G, CyclicGroup(2))
         for x in G.elements():
-            direct = 1 if parity_dense(union.translation("g", x)) == 0 else -1
+            direct = 1 if union.translation("g", x).is_even() else -1
             if translation_sign(G, x) != direct:
                 return False, f"{name} element {x}"
     return True, "catalog agreed"

@@ -114,6 +114,12 @@ def test_cube_ball_payload_bound_zero_is_not_the_radius(capsys):
                        {"added": [], "removed": ["e"], "s": -1}]
 
 
+def test_cube_ball_over_the_vertex_cap_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "cube", "ball", "--radius", "6")
+    assert (code, out) == (2, "")
+    assert err == "error: 245506 vertices exceed the cap of 100000\n"
+
+
 def test_cube_transport(capsys):
     code, out, _ = run_cli(
         capsys, "cube", "transport",

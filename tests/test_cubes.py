@@ -6,8 +6,18 @@ from random import Random
 
 import pytest
 
-from gluedprod import BASE, FiberMismatchError, Point, RegimeError
+from gluedprod import (
+    BASE,
+    BudgetError,
+    FiberMismatchError,
+    FreeGroup,
+    IntegersGroup,
+    Point,
+    PvContext,
+    RegimeError,
+)
 from gluedprod.cubes import (
+    BALL_VERTEX_CAP,
     CubeVertex,
     act_vertex,
     adjacent,
@@ -166,6 +176,35 @@ def test_vertex_ball_has_edges(zz_fast):
     base_index = vertices.index(whole_g_side())
     assert all(base_index in pair for pair in e)
     assert len(e) == 5
+
+
+@pytest.mark.parametrize("left, payload_bound", [
+    (IntegersGroup(), 3),
+    (FreeGroup(2), 1),
+])
+def test_edges_match_the_pairwise_definition(left, payload_bound):
+    ctx = PvContext(left, IntegersGroup())
+    for radius in range(4):
+        vertices = vertex_ball(ctx, radius, payload_bound)
+        Random(radius).shuffle(vertices)  # any order of distinct vertices
+        pairwise = [(i, j) for i in range(len(vertices))
+                    for j in range(i + 1, len(vertices))
+                    if adjacent(vertices[i], vertices[j])]
+        assert edges(vertices) == pairwise
+
+
+def test_vertex_ball_size_is_capped_before_enumeration(zz_fast, monkeypatch):
+    # 13 ledger points, at most 3 of them: 1 + 13 + 78 + 286 vertices
+    assert len(vertex_ball(zz_fast, 3, 3)) == 378
+    f2 = PvContext(FreeGroup(2), IntegersGroup())
+    assert len(vertex_ball(f2, 3, 3)) == 34280 < BALL_VERTEX_CAP
+
+    def built(*args):
+        raise AssertionError("a vertex was built")
+
+    monkeypatch.setattr(CubeVertex, "__init__", built)
+    with pytest.raises(BudgetError, match="245506 vertices exceed the cap of 100000"):
+        vertex_ball(zz_fast, 6, 6)
 
 
 def test_growth_witness(zz_fast):

@@ -7,9 +7,8 @@ import math
 
 import pytest
 
-from gluedprod import CyclicGroup, GroupSpecError, schreier_sims_order
+from gluedprod import CyclicGroup, GroupSpecError, PointedUnion, schreier_sims_order
 from gluedprod.finite import (
-    FiniteUnion,
     classify,
     compose_dense,
     glued_order,
@@ -44,9 +43,9 @@ def test_realize_z3_z2():
 
 def test_translation_sign_formula_vs_cycle_parity():
     for name, G in finite_catalog().items():
-        union = FiniteUnion(G, CyclicGroup(2))
+        union = PointedUnion(G, CyclicGroup(2))
         for x in G.elements():
-            perm = union.translation("g", x)
+            perm = union.dense(union.translation("g", x))
             assert translation_sign(G, x) == (1 if parity_dense(perm) == 0 else -1), name
 
 

@@ -94,10 +94,10 @@ def test_window_size_is_known_before_enumeration(zz_fast):
 
 def test_phi_on_generators(zz_fast):
     approx = Approximation(zz_fast, 1, modulus=17)
-    union = approx.funion
+    union = approx.target
     image = approx.phi(zz_fast.from_g("1"))
-    assert image == union.translation("g", "1")
-    assert approx.phi(zz_fast.identity) == identity_dense(union.n)
+    assert image == union.dense(union.translation("g", "1"))
+    assert approx.phi(zz_fast.identity) == identity_dense(len(union.points))
     # both routes to phi of a product agree on a hand example
     s = zz_fast.element(g="1", h="1")
     prod = zz_fast.multiply(s, s)
@@ -191,7 +191,7 @@ def test_lattice_factor_approximation():
     ctx = PvContext(LatticeGroup(2), IntegersGroup())
     approx = Approximation(ctx, 1)
     assert approx.qg.target.order() == 81
-    assert approx.funion.n == 81 + 9 - 1
+    assert len(approx.target.points) == 81 + 9 - 1
     assert approx.check_point_bijection().ok
     report = approx.check_multiplicativity(mode="sample", sample=800, seed=2)
     assert report.ok
@@ -200,7 +200,7 @@ def test_lattice_factor_approximation():
 def test_mixed_identity_maps_to_identity():
     ctx = PvContext(IntegersGroup(), CyclicGroup(2))
     approx = Approximation(ctx, 1)
-    assert approx.phi(ctx.identity) == identity_dense(approx.funion.n)
+    assert approx.phi(ctx.identity) == identity_dense(len(approx.target.points))
 
 
 def test_report_json_shape(zz_fast):
@@ -213,7 +213,7 @@ def test_report_json_shape(zz_fast):
 def test_failing_case_keeps_count_and_labels_the_pair(zz_fast, monkeypatch):
     approx = Approximation(zz_fast, 1, modulus=17)
     monkeypatch.setattr(approx, "pushforward",
-                        lambda a: identity_dense(approx.funion.n))
+                        lambda a: identity_dense(len(approx.target.points)))
     report = approx.check_multiplicativity(mode="sample", sample=200, seed=3)
     assert not report.ok
     assert report.pairs_checked == 200
@@ -226,7 +226,7 @@ def test_failing_case_keeps_count_and_labels_the_pair(zz_fast, monkeypatch):
 def test_failing_pushforward_fails_its_own_check(zz_fast, monkeypatch):
     approx = Approximation(zz_fast, 1, modulus=17)
     monkeypatch.setattr(approx, "pushforward",
-                        lambda a: identity_dense(approx.funion.n))
+                        lambda a: identity_dense(len(approx.target.points)))
     report = approx.check_pushforward(mode="sample", sample=300, seed=3)
     assert not report.ok
     assert report.pairs_checked == 159
