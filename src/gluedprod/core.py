@@ -146,7 +146,9 @@ class PvContext:
     # product law
 
     def _transport(self, a: FinPerm, f: Callable[[Point], Point]) -> FinPerm:
-        return FinPerm._trusted({f(p): f(q) for p, q in a.items()})
+        """f a f^-1: each support point is translated once."""
+        image = {p: f(p) for p in a.support()}
+        return FinPerm._trusted({image[p]: image[q] for p, q in a.items()})
 
     def multiply(self, s1: PvElement, s2: PvElement) -> PvElement:
         """Canonical form of the product s1 * s2.

@@ -245,6 +245,7 @@ class Approximation:
                 )
         self.target = PointedUnion(self.qg.target, self.qh.target)
         self._translations: dict[tuple[str, str], DensePerm] = {}
+        self._outers: dict[tuple[str, str], DensePerm] = {}
         self._point_images: dict[Point, int] = {}
 
     # -- the map itself -------------------------------------------------
@@ -277,9 +278,18 @@ class Approximation:
         return (self.qg.proj(s.g), self.qh.proj(s.h), self.pushforward(s.a))
 
     def phi(self, s: PvElement) -> DensePerm:
+        """T_g o T_h o pushforward(a), with the outer translation T_g o T_h
+        cached per quotient pair: only the residual's support is patched."""
         gn, hn, pa = self.phi_parts(s)
-        return compose_dense(self._translation("g", gn),
-                             compose_dense(self._translation("h", hn), pa))
+        outer = self._outers.get((gn, hn))
+        if outer is None:
+            outer = compose_dense(self._translation("g", gn), self._translation("h", hn))
+            self._outers[gn, hn] = outer
+        images = list(outer)
+        for p, _ in s.a.items():
+            i = self.point_image(p)
+            images[i] = outer[pa[i]]
+        return tuple(images)
 
     # -- harnesses -------------------------------------------------------
 

@@ -33,11 +33,11 @@ class FinPerm:
     """A finitely supported permutation of the pointed union.
 
     Only non-fixed points are stored; the identity is the empty mapping.
-    Instances are immutable and hashable; the hash is computed on first
-    use, since most intermediate products are never hashed.
+    Instances are immutable and hashable; the hash and the parity are
+    computed on first use, since most intermediate products need neither.
     """
 
-    __slots__ = ("_moved", "_hash")
+    __slots__ = ("_moved", "_hash", "_even")
 
     def __init__(self, moved: Mapping[Point, Point]):
         cleaned = {p: q for p, q in moved.items() if p != q}
@@ -45,12 +45,14 @@ class FinPerm:
             raise WordParseError("mapping is not a permutation of its support")
         self._moved = cleaned
         self._hash = None
+        self._even = None
 
     @classmethod
     def _trusted(cls, cleaned: dict[Point, Point]) -> "FinPerm":
         out = object.__new__(cls)
         out._moved = cleaned
         out._hash = None
+        out._even = None
         return out
 
     @classmethod
@@ -154,8 +156,9 @@ class FinPerm:
 
     def is_even(self) -> bool:
         """Parity via the cycle decomposition: sum of (length - 1)."""
-        flips = sum(len(c) - 1 for c in self.cycles())
-        return flips % 2 == 0
+        if self._even is None:
+            self._even = sum(len(c) - 1 for c in self.cycles()) % 2 == 0
+        return self._even
 
     def order(self) -> int:
         from math import lcm

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from gluedprod import (
+    BASE,
     BudgetError,
     CyclicGroup,
     GroupSpecError,
@@ -16,8 +17,13 @@ from gluedprod import (
     MembershipError,
     Point,
     PvContext,
+    PvElement,
+    TableGroup,
+    symmetric_group_table,
+    transposition,
 )
-from gluedprod.finite import identity_dense
+from gluedprod import lef as lef_module
+from gluedprod.finite import compose_dense, identity_dense
 from gluedprod.lef import (
     Approximation,
     build_quotient,
@@ -104,6 +110,72 @@ def test_phi_on_generators(zz_fast):
     lhs = approx.phi(prod)
     rhs = tuple(approx.phi(s)[k] for k in approx.phi(s))
     assert lhs == rhs
+
+
+ORACLE_SETUPS = {
+    "ZxZ mod 17": (lambda: PvContext(IntegersGroup(), IntegersGroup()), 17),
+    "Z2xZ mod 9": (lambda: PvContext(LatticeGroup(2), IntegersGroup()), 9),
+    "ZxZ/3": (lambda: PvContext(IntegersGroup(), CyclicGroup(3)), None),
+    "ZxS3": (lambda: PvContext(IntegersGroup(), TableGroup(symmetric_group_table(3))), None),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(ORACLE_SETUPS))
+def test_phi_matches_the_double_composition(setup):
+    """phi against its definition T_g o (T_h o pushforward(a)), with the
+    translations built afresh for every element."""
+    make, modulus = ORACLE_SETUPS[setup]
+    ctx = make()
+    approx = Approximation(ctx, 1, modulus=modulus)
+    union = approx.target
+
+    def slow(s: PvElement):
+        t_g = union.dense(union.translation("g", approx.qg.proj(s.g)))
+        t_h = union.dense(union.translation("h", approx.qh.proj(s.h)))
+        return compose_dense(t_g, compose_dense(t_h, approx.pushforward(s.a)))
+
+    rng = Random(11)
+    f1 = window_elements(ctx, 1)
+    elements = [ctx.identity]
+    elements += [random_window_element(ctx, 2, rng) for _ in range(150)]
+    elements += [ctx.multiply(rng.choice(f1), rng.choice(f1)) for _ in range(150)]
+    for s in elements:
+        assert approx.phi(s) == slow(s)
+    if not window(ctx, 2).even:  # the symmetric convention draws odd residuals too
+        assert any(not s.a.is_even() for s in elements)
+
+    far = next(x for x in ctx.G.ball(3) if ctx.G.length(x) == 3)
+    near = next(x for x in ctx.G.ball(1) if ctx.G.length(x) == 1)
+    e_g, e_h, e_a = ctx.G.identity, ctx.H.identity, ctx.identity.a
+    outside = [PvElement(far, e_h, e_a),
+               PvElement(e_g, e_h, transposition(BASE, Point("g", far)))]
+    if window(ctx, 2).even:
+        outside.append(PvElement(e_g, e_h, transposition(BASE, Point("g", near))))
+    for s in outside:
+        with pytest.raises(MembershipError):
+            approx.phi(s)
+
+
+def test_phi_composes_once_per_quotient_pair(monkeypatch):
+    """Over all of F_1, phi composes dense permutations once per distinct
+    (g, h) quotient pair, not twice per element."""
+    ctx = PvContext(LatticeGroup(2), IntegersGroup())
+    approx = Approximation(ctx, 1, modulus=9)
+    f1 = window_elements(ctx, 1)
+    assert len(f1) == 37800
+    calls = 0
+    original = lef_module.compose_dense
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return original(p, q)
+
+    monkeypatch.setattr(lef_module, "compose_dense", counting)
+    for s in f1:
+        approx.phi(s)
+    pairs = {(approx.qg.proj(s.g), approx.qh.proj(s.h)) for s in f1}
+    assert calls <= len(pairs) <= 13 * 5
 
 
 def test_phi_window_guard(zz_fast):

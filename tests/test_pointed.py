@@ -178,6 +178,38 @@ def test_compose_matches_the_pointwise_definition(shape, data):
         assert not x.compose(x.inverse()) and not x.inverse().compose(x)
 
 
+def parity_from_cycles(moved: dict) -> bool:
+    """Evenness counted afresh: support size minus cycle count is even."""
+    seen: set = set()
+    cycles = 0
+    for start in moved:
+        if start not in seen:
+            cycles += 1
+            p = start
+            while p not in seen:
+                seen.add(p)
+                p = moved[p]
+    return (len(moved) - cycles) % 2 == 0
+
+
+@pytest.mark.parametrize("shape", ["left-larger", "right-larger",
+                                   "left-identity", "right-identity"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cached_parity_matches_the_cycle_count(shape, data):
+    """The parity stored on first use belongs to its own object: products
+    (including an operand returned by the identity shortcut), inverses, the
+    identity and trusted perms all report their own cycle parity, twice."""
+    a, b = data.draw(compose_operands(shape))
+    if data.draw(st.booleans()):
+        a.is_even(), b.is_even()  # warm the operands' caches first
+    c = a.compose(b)
+    for x in (c, a, b, a.inverse(), c.inverse(), FinPerm.identity(),
+              FinPerm._trusted(c.moved), FinPerm(b.moved)):
+        first = x.is_even()
+        assert x.is_even() == first == parity_from_cycles(x.moved)
+
+
 def test_perm_text_roundtrip(pu):
     cyc = three_cycle(BASE, Point("g", "1"), Point("h", "2"))
     text = pu.format_perm(cyc)
