@@ -28,27 +28,29 @@ from .errors import (
     WordParseError,
 )
 from .finite import has_cyclic_two_sylow
-from .groups import GroupHandle
+from .groups import Element, GroupHandle, format_value
 from .pointed import BASE, FinPerm, Point, PointedUnion, three_cycle
 
 BOTH_INFINITE = "both-infinite"
 MIXED = "mixed"
 
-Letter = tuple[str, object]  # ("G", lit) | ("H", lit) | ("PERM", FinPerm)
+Letter = tuple[str, object]  # ("G", x) | ("H", y) | ("PERM", FinPerm); x, y literals or values
 
-_WORD_TOKEN = re.compile(r"PERM:(?:\([^()]*\))+|[GH]:\S+")
+_WORD_TOKEN = re.compile(r"\s*(?:PERM:((?:\([^()]*\))+)|([GH]):(\S+))")
+_SPACES = re.compile(r"\s*")
 
 
 @dataclass(frozen=True)
 class PvElement:
     """Normal form (g, h, a) of a glued-product element.
 
-    Equality and hashing are triple equality, which is element equality
-    under the canonical-form conventions of the owning context.
+    The factor parts are element values of the owning context's
+    handles.  Equality and hashing are triple equality, which is element
+    equality under the canonical-form conventions of the owning context.
     """
 
-    g: str
-    h: str
+    g: Element
+    h: Element
     a: FinPerm
 
 
@@ -94,18 +96,18 @@ class PvContext:
                     "odd residual rejected: the finite factor has no "
                     "nontrivial cyclic 2-Sylow, so residuals are even"
                 )
-        for p in a.support():
-            if p.side == "e":
+        for (side, x), _ in a.items():
+            if side == "e":
                 continue
-            handle = self.G if p.side == "g" else self.H
-            canonical = handle.parse(p.payload)
-            if canonical != p.payload or canonical == handle.identity:
+            handle = self.G if side == "g" else self.H
+            if not handle.is_canonical(x) or x == handle.identity:
                 raise MembershipError(
-                    f"support point {p} is not a canonical non-identity element"
+                    f"support point {Point(side, x)} is not a canonical non-identity element"
                 )
 
-    def element(self, g: str = None, h: str = None, a: FinPerm = None) -> PvElement:
-        """Build an element from parts, canonicalising and validating them."""
+    def element(self, g=None, h=None, a: FinPerm = None) -> PvElement:
+        """Build an element from parts (literals or values), canonicalising
+        and validating them."""
         g = self.G.identity if g is None else self.G.parse(g)
         h = self.H.identity if h is None else self.H.parse(h)
         a = FinPerm.identity() if a is None else a
@@ -116,10 +118,12 @@ class PvContext:
         self._check_residual(a)
         return PvElement(g, h, a)
 
-    def from_g(self, x: str) -> PvElement:
+    def from_g(self, x) -> PvElement:
+        """The element of a G literal or value."""
         return PvElement(self.G.parse(x), self.H.identity, FinPerm.identity())
 
-    def from_h(self, y: str) -> PvElement:
+    def from_h(self, y) -> PvElement:
+        """The element of an H literal or value."""
         y = self.H.parse(y)
         if self.regime == MIXED:
             return PvElement(self.G.identity, self.H.identity,
@@ -145,9 +149,14 @@ class PvContext:
     # ------------------------------------------------------------------
     # product law
 
-    def _transport(self, a: FinPerm, f: Callable[[Point], Point]) -> FinPerm:
-        """f a f^-1: each support point is translated once."""
-        image = {p: f(p) for p in a.support()}
+    def _transport(self, a: FinPerm, g_inv, h_inv) -> FinPerm:
+        """t a t^-1 for the translation t: p -> h_inv . (g_inv . p), where a
+        None part is skipped.  Each support point is translated once."""
+        apply = self.union.apply_factor
+        image = {}
+        for p, _ in a.items():
+            q = p if g_inv is None else apply("g", g_inv, p)
+            image[p] = q if h_inv is None else apply("h", h_inv, q)
         return FinPerm._trusted({image[p]: image[q] for p, q in a.items()})
 
     def multiply(self, s1: PvElement, s2: PvElement) -> PvElement:
@@ -158,35 +167,33 @@ class PvContext:
         times the second residual.  Identity parts cost nothing: no
         group operation runs on them and no translation applies them.
         """
-        G, H, pu = self.G, self.H, self.union
+        G, H = self.G, self.H
         eg, eh = G.identity, H.identity
-        g1, h1, g2, h2 = s1.g, s1.h, s2.g, s2.h
+        g1, h1, a1 = s1.g, s1.h, s1.a
+        g2, h2, a2 = s2.g, s2.h, s2.a
         g = g2 if g1 == eg else g1 if g2 == eg else G.mul(g1, g2)
         h = h2 if h1 == eh else h1 if h2 == eh else H.mul(h1, h2)
 
         commutes = h1 == eh or g2 == eg
-        transported = bool(s1.a) and (g2 != eg or h2 != eh)
-        t1 = FinPerm.identity()
-        t2 = s1.a
-        if not commutes or transported:
-            g2i = G.inv(g2) if g2 != eg else eg
-            h2i = H.inv(h2) if h2 != eh else eh
-
-            def by_h(p: Point) -> Point:
-                return pu.apply_factor("h", h2i, p) if h2 != eh else p
-
-            def back(p: Point) -> Point:
-                return by_h(pu.apply_factor("g", g2i, p) if g2 != eg else p)
-
+        t2 = a1
+        if a1 or not commutes:
+            g2i = G.inv(g2) if g2 != eg else None
+            h2i = H.inv(h2) if h2 != eh else None
+            if a1 and (g2i is not None or h2i is not None):
+                t2 = self._transport(a1, g2i, h2i)
             if not commutes:
-                t1 = three_cycle(BASE, pu.h_point(H.inv(h1)), pu.g_point(g2i))
-                if h2 != eh:
-                    t1 = self._transport(t1, by_h)
-            if transported:
-                t2 = self._transport(t2, back)
-
-        a = t1.compose(t2).compose(s2.a)
-        out = PvElement(g, h, a)
+                # the 3-cycle (e h1^-1 g2^-1), moved by h2^-1 when h2 is not e;
+                # h1 and g2 are not e, so its three points differ
+                e = BASE
+                hp = tuple.__new__(Point, ("h", H.inv(h1)))
+                gp = tuple.__new__(Point, ("g", g2i))
+                if h2i is not None:
+                    apply = self.union.apply_factor
+                    e, hp, gp = apply("h", h2i, e), apply("h", h2i, hp), apply("h", h2i, gp)
+                t1 = FinPerm._trusted({e: hp, hp: gp, gp: e}, {hp: e, gp: hp, e: gp})
+                t2 = t1.compose(t2)
+            a2 = t2.compose(a2)
+        out = PvElement(g, h, a2)
         if self.check:
             self._verify_product(s1, s2, out, t2)
         return out
@@ -208,12 +215,17 @@ class PvContext:
                 )
 
     def invert(self, s: PvElement) -> PvElement:
-        """Normalise a^-1 h^-1 g^-1 by multiplying the letter blocks."""
-        out = self.from_perm(s.a.inverse())
-        if s.h != self.H.identity:
-            out = self.multiply(out, self.from_h(self.H.inv(s.h)))
-        if s.g != self.G.identity:
-            out = self.multiply(out, self.from_g(self.G.inv(s.g)))
+        """Normalise a^-1 h^-1 g^-1 by multiplying the letter blocks.
+
+        The blocks are parts of a valid element, so they are built
+        without validation; h is e in the mixed regime.
+        """
+        eg, eh, e = self.G.identity, self.H.identity, FinPerm.identity()
+        out = PvElement(eg, eh, s.a.inverse())
+        if s.h != eh:
+            out = self.multiply(out, PvElement(eg, self.H.inv(s.h), e))
+        if s.g != eg:
+            out = self.multiply(out, PvElement(self.G.inv(s.g), eh, e))
         return out
 
     def normalize(self, word: Iterable[Letter]) -> PvElement:
@@ -258,7 +270,7 @@ class PvContext:
     # ------------------------------------------------------------------
     # structure maps
 
-    def commutator(self, g: str, h: str) -> PvElement:
+    def commutator(self, g, h) -> PvElement:
         """[g, h] = g h g^-1 h^-1; the 3-cycle (e g h) when both are nontrivial."""
         g = self.G.parse(g)
         h = self.H.parse(h)
@@ -267,7 +279,7 @@ class PvContext:
         cyc = three_cycle(BASE, Point("g", g), Point("h", h))
         return PvElement(self.G.identity, self.H.identity, cyc)
 
-    def project(self, s: PvElement) -> tuple[str, str]:
+    def project(self, s: PvElement) -> tuple:
         """The canonical epimorphism onto G x H (both factors infinite)."""
         if self.regime != BOTH_INFINITE:
             raise RegimeError(
@@ -275,7 +287,7 @@ class PvContext:
             )
         return (s.g, s.h)
 
-    def project_g(self, s: PvElement) -> str:
+    def project_g(self, s: PvElement):
         """The canonical epimorphism onto the infinite factor G."""
         return s.g
 
@@ -307,7 +319,7 @@ class PvContext:
             raise BudgetError(f"element order exceeds cap {cap}")
         return order
 
-    def stabilizer_lift(self, h: str, h_prime: str) -> PvElement:
+    def stabilizer_lift(self, h, h_prime) -> PvElement:
         """A lift of h fixing every point of the G side.
 
         Multiplies the 3-cycle through the basepoint by h itself, so the
@@ -326,39 +338,36 @@ class PvContext:
     # word and element text forms
 
     def parse_word(self, text: str) -> list[Letter]:
+        """The letters of a word: ("G" | "H", literal) or ("PERM", FinPerm)."""
         letters: list[Letter] = []
         pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
+        while True:
             m = _WORD_TOKEN.match(text, pos)
-            if not m:
+            if m is None:
+                pos = _SPACES.match(text, pos).end()
+                if pos == len(text):
+                    return letters
                 raise WordParseError(f"bad word at position {pos}: {text[pos:]!r}")
-            token = m.group()
-            if token.startswith("PERM:"):
-                letters.append(("PERM", self.union.parse_perm(token[5:])))
-            else:
-                side, lit = token.split(":", 1)
-                letters.append((side, lit))
+            perm, side, literal = m.groups()
+            letters.append(("PERM", self.union.parse_perm(perm)) if perm else (side, literal))
             pos = m.end()
-        return letters
 
     def eval_word(self, text: str) -> PvElement:
         return self.normalize(self.parse_word(text))
 
     def format_element(self, s: PvElement) -> str:
-        return f"g={s.g} h={s.h} a={self.union.format_perm(s.a)}"
+        return f"g={format_value(s.g)} h={format_value(s.h)} a={self.union.format_perm(s.a)}"
 
 
 def embed(source: PvContext, target: PvContext,
-          g_map: Callable[[str], str], h_map: Callable[[str], str],
+          g_map: Callable, h_map: Callable,
           s: PvElement, *, samples: int = 24, rng: Optional[Random] = None) -> PvElement:
     """Push an element along factor inclusions K -> G, L -> H.
 
-    Both source factors must be infinite; the maps are checked to be
-    injective homomorphisms on a sample before relabelling the normal
-    form.  The result satisfies embed(xy) = embed(x)embed(y).
+    Both source factors must be infinite; the maps take element values
+    to literals or values of the target, and are checked to be injective
+    homomorphisms on a sample before relabelling the normal form.  The
+    result satisfies embed(xy) = embed(x)embed(y).
     """
     if source.regime != BOTH_INFINITE:
         raise RegimeError("embedding is only canonical for infinite source factors")
@@ -367,7 +376,7 @@ def embed(source: PvContext, target: PvContext,
                                  (source.H, h_map, target.H)):
         pool = handle.ball(2)
         picks = [pool[rng.randrange(len(pool))] for _ in range(samples)]
-        if mapping(handle.identity) != tgt.identity:
+        if tgt.parse(mapping(handle.identity)) != tgt.identity:
             raise MembershipError("factor map does not preserve the identity")
         images = {}
         for x in picks:

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .core import PvContext, PvElement
 from .errors import BudgetError, GroupSpecError
+from .groups import Element
 from .pointed import Point
 
 DEFAULT_WORD_CAP = 18
@@ -35,12 +36,13 @@ class PongReport:
         return self.first_collision is None and self.distinct == self.words_checked
 
 
-def free_semigroup_check(ctx: PvContext, g: str, h: str,
+def free_semigroup_check(ctx: PvContext, g, h,
                          max_len: int, cap: int = DEFAULT_WORD_CAP) -> PongReport:
     """Evaluate all nonempty nonnegative words in g and h up to a length.
 
-    The elements must have infinite order; 2^(L+1) - 2 words are reduced
-    to normal form and compared for pairwise distinctness.
+    ``g`` and ``h`` are literals or values and must have infinite order;
+    2^(L+1) - 2 words are reduced to normal form and compared for
+    pairwise distinctness.
     """
     if max_len < 1:
         raise GroupSpecError(f"word length must be at least 1, got {max_len}")
@@ -78,7 +80,7 @@ class FolnerSet:
 
     points: frozenset[Point]
     n: int
-    shift: str
+    shift: Element
 
 
 def folner_set(ctx: PvContext, n: int) -> FolnerSet:
@@ -86,7 +88,7 @@ def folner_set(ctx: PvContext, n: int) -> FolnerSet:
 
     Z is Z^d with d = 1: the set is the box [-n, n]^d shifted by
     (n + 1, 0, ..., 0), so it avoids the basepoint.  Its points are
-    written directly in the canonical form, comma-separated decimals.
+    built directly as values: coordinate tuples, or their one int on Z.
     """
     if n < 0:
         raise GroupSpecError(f"Folner radius must be at least 0, got {n}")
@@ -94,9 +96,12 @@ def folner_set(ctx: PvContext, n: int) -> FolnerSet:
     if G.kind not in ("integers", "lattice"):
         raise GroupSpecError(f"no Folner scheme registered for kind {G.kind!r}")
     d = G.d if G.kind == "lattice" else 1
-    shift = G.parse(",".join([str(n + 1)] + ["0"] * (d - 1)))
     box = itertools.product(range(1, 2 * n + 2), *[range(-n, n + 1)] * (d - 1))
-    points = frozenset(Point("g", ",".join(map(str, c))) for c in box)
+    if G.kind == "integers":  # an element of Z is an int, not a 1-tuple
+        shift, values = n + 1, (c for (c,) in box)
+    else:
+        shift, values = (n + 1,) + (0,) * (d - 1), box
+    points = frozenset(Point("g", x) for x in values)
     return FolnerSet(points, n, shift)
 
 

@@ -1,13 +1,19 @@
 """Catalog of factor groups with a uniform exact-element interface.
 
-Every element is a canonical string, so equality and hashing are byte
-equality regardless of kind:
+Inside the library an element is a native value, so equality and
+hashing run at C level:
 
-- ``integers``:   decimal, e.g. ``"-3"``
-- ``cyclic(n)``:  decimal residue ``"0"`` .. ``"n-1"``
-- ``lattice(d)``: comma-separated decimals, e.g. ``"1,-2"``
-- ``free(rank)``: reduced word; lowercase generators, uppercase inverses
-- ``table``:      element index ``"0"`` .. ``"n-1"``
+- ``integers``:   an ``int``, e.g. ``-3``
+- ``cyclic(n)``:  the residue ``0`` .. ``n-1``, an ``int``
+- ``lattice(d)``: a ``tuple`` of ``d`` ints, e.g. ``(1, -2)``
+- ``free(rank)``: the reduced word, a ``str``; lowercase generators,
+  uppercase inverses
+- ``table``:      the element index ``0`` .. ``n-1``, an ``int``
+
+Text appears only at the boundary.  ``GroupHandle.parse`` turns an
+element literal into its value, and ``format_value`` is the one
+formatter back: an ``int`` as decimal, a tuple comma-joined, a word as
+itself, e.g. ``"-3"``, ``"1,-2"``, ``"aB"``.
 
 Each handle also fixes a proper length (0/1 on finite kinds, word or
 l1 length on infinite ones) and a canonical enumeration order used for
@@ -17,6 +23,7 @@ balls and for deterministic serialisation.
 from __future__ import annotations
 
 import itertools
+import operator
 from math import gcd
 from random import Random
 from typing import Iterator, Optional, Sequence
@@ -29,11 +36,19 @@ _TABLE_SAMPLED_TRIPLES = 10**4
 _FREE_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
+Element = object  # int | tuple[int, ...] | str, according to the kind
+
+
+def format_value(x: Element) -> str:
+    """The canonical text of an element value of any kind."""
+    return ",".join(map(str, x)) if type(x) is tuple else str(x)
+
+
 class GroupHandle:
-    """A factor group with exact multiplication on canonical strings."""
+    """A factor group with exact multiplication on native element values."""
 
     kind: str = ""
-    identity: str = ""
+    identity: Element = None
 
     @property
     def is_finite(self) -> bool:
@@ -43,25 +58,40 @@ class GroupHandle:
         """Group order, or None when infinite."""
         raise NotImplementedError
 
-    def mul(self, a: str, b: str) -> str:
+    def mul(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
 
-    def inv(self, a: str) -> str:
+    def inv(self, a: Element) -> Element:
         raise NotImplementedError
 
-    def parse(self, text: str) -> str:
-        """Canonicalise an element literal, validating it."""
+    def parse(self, text: str) -> Element:
+        """The value of an element literal, validated and canonicalised.
+
+        A value that is already canonical passes through unchanged; any
+        other input that is not text raises GroupSpecError.
+        """
+        if type(text) is str:
+            return self._parse_text(text)
+        if not self.is_canonical(text):
+            raise GroupSpecError(f"{text!r} is not a canonical element of {self!r}")
+        return text
+
+    def _parse_text(self, text: str) -> Element:
         raise NotImplementedError
 
-    def length(self, x: str) -> int:
+    def is_canonical(self, x) -> bool:
+        """Whether ``x`` is a canonical element value: a type and range test."""
+        raise NotImplementedError
+
+    def length(self, x: Element) -> int:
         """The declared proper length of ``x``."""
         raise NotImplementedError
 
-    def sort_key(self, x: str):
+    def sort_key(self, x: Element):
         """Key realising the canonical enumeration order."""
         raise NotImplementedError
 
-    def enumerate_elements(self) -> Iterator[str]:
+    def enumerate_elements(self) -> Iterator[Element]:
         """All elements in canonical order, identity first.
 
         The iterator is infinite for infinite kinds and yields elements
@@ -69,18 +99,18 @@ class GroupHandle:
         """
         raise NotImplementedError
 
-    def elements(self) -> list[str]:
+    def elements(self) -> list[Element]:
         """All elements of a finite group, in canonical order."""
         n = self.order()
         if n is None:
             raise GroupSpecError(f"{self!r} is infinite")
         return list(itertools.islice(self.enumerate_elements(), n))
 
-    def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[str]:
+    def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[Element]:
         """All elements of proper length <= radius, in canonical order."""
         if radius < 0:
             return []
-        out: list[str] = []
+        out: list[Element] = []
         for x in self.enumerate_elements():
             if self.length(x) > radius:
                 break
@@ -91,7 +121,7 @@ class GroupHandle:
                 )
         return out
 
-    def element_order(self, x: str) -> Optional[int]:
+    def element_order(self, x: Element) -> Optional[int]:
         """Least k >= 1 with x^k trivial, or None when infinite.
 
         Torsion-free kinds report None for any non-identity element
@@ -116,7 +146,7 @@ class CyclicGroup(GroupHandle):
         if not isinstance(n, int) or n < 1:
             raise GroupSpecError(f"cyclic order must be a positive integer, got {n!r}")
         self.n = n
-        self.identity = "0"
+        self.identity = 0
 
     def __repr__(self):
         return f"cyclic({self.n})"
@@ -125,36 +155,38 @@ class CyclicGroup(GroupHandle):
         return self.n
 
     def mul(self, a, b):
-        return str((int(a) + int(b)) % self.n)
+        return (a + b) % self.n
 
     def inv(self, a):
-        return str(-int(a) % self.n)
+        return -a % self.n
 
-    def parse(self, text):
+    def _parse_text(self, text):
         try:
-            v = int(text)
+            return int(text) % self.n
         except ValueError:
             raise GroupSpecError(f"bad cyclic element {text!r}") from None
-        return str(v % self.n)
+
+    def is_canonical(self, x):
+        return type(x) is int and 0 <= x < self.n
 
     def length(self, x):
-        return 0 if x == "0" else 1
+        return 0 if x == 0 else 1
 
     def sort_key(self, x):
-        return (int(x),)
+        return (x,)
 
     def enumerate_elements(self):
-        return (str(i) for i in range(self.n))
+        return iter(range(self.n))
 
     def element_order(self, x):
-        return self.n // gcd(self.n, int(x))
+        return self.n // gcd(self.n, x)
 
 
 class IntegersGroup(GroupHandle):
     kind = "integers"
 
     def __init__(self):
-        self.identity = "0"
+        self.identity = 0
 
     def __repr__(self):
         return "integers"
@@ -163,30 +195,31 @@ class IntegersGroup(GroupHandle):
         return None
 
     def mul(self, a, b):
-        return str(int(a) + int(b))
+        return a + b
 
     def inv(self, a):
-        return str(-int(a))
+        return -a
 
-    def parse(self, text):
+    def _parse_text(self, text):
         try:
-            v = int(text)
+            return int(text)
         except ValueError:
             raise GroupSpecError(f"bad integer element {text!r}") from None
-        return str(v)
+
+    def is_canonical(self, x):
+        return type(x) is int
 
     def length(self, x):
-        return abs(int(x))
+        return abs(x)
 
     def sort_key(self, x):
-        v = int(x)
-        return (abs(v), 0 if v >= 0 else 1)
+        return (abs(x), 0 if x >= 0 else 1)
 
     def enumerate_elements(self):
-        yield "0"
+        yield 0
         for k in itertools.count(1):
-            yield str(k)
-            yield str(-k)
+            yield k
+            yield -k
 
 
 class LatticeGroup(GroupHandle):
@@ -198,7 +231,7 @@ class LatticeGroup(GroupHandle):
         if not isinstance(d, int) or d < 1:
             raise GroupSpecError(f"lattice dimension must be positive, got {d!r}")
         self.d = d
-        self.identity = ",".join(["0"] * d)
+        self.identity = (0,) * d
 
     def __repr__(self):
         return f"lattice({self.d})"
@@ -206,35 +239,31 @@ class LatticeGroup(GroupHandle):
     def order(self):
         return None
 
-    def _coords(self, x: str) -> tuple[int, ...]:
-        return tuple(int(c) for c in x.split(","))
-
-    def _fmt(self, coords: Sequence[int]) -> str:
-        return ",".join(str(c) for c in coords)
-
     def mul(self, a, b):
-        return self._fmt([u + v for u, v in zip(self._coords(a), self._coords(b))])
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
-        return self._fmt([-u for u in self._coords(a)])
+        return tuple(map(operator.neg, a))
 
-    def parse(self, text):
+    def _parse_text(self, text):
         try:
-            coords = self._coords(text)
+            coords = tuple(map(int, text.split(",")))
         except ValueError:
             raise GroupSpecError(f"bad lattice element {text!r}") from None
         if len(coords) != self.d:
             raise GroupSpecError(
                 f"lattice element {text!r} has {len(coords)} coordinates, expected {self.d}"
             )
-        return self._fmt(coords)
+        return coords
+
+    def is_canonical(self, x):
+        return type(x) is tuple and len(x) == self.d and all(type(c) is int for c in x)
 
     def length(self, x):
-        return sum(abs(c) for c in self._coords(x))
+        return sum(map(abs, x))
 
     def sort_key(self, x):
-        coords = self._coords(x)
-        return (sum(abs(c) for c in coords), coords)
+        return (sum(map(abs, x)), x)
 
     def _sphere(self, r: int) -> list[tuple[int, ...]]:
         out = []
@@ -252,8 +281,7 @@ class LatticeGroup(GroupHandle):
 
     def enumerate_elements(self):
         for r in itertools.count(0):
-            for coords in self._sphere(r):
-                yield self._fmt(coords)
+            yield from self._sphere(r)
 
 
 class FreeGroup(GroupHandle):
@@ -303,13 +331,17 @@ class FreeGroup(GroupHandle):
     def inv(self, a):
         return a[::-1].swapcase()
 
-    def parse(self, text):
+    def _parse_text(self, text):
         for c in text:
             if c not in self._letter_rank:
                 raise GroupSpecError(
                     f"letter {c!r} not among the {self.rank} generators"
                 )
         return self._reduce(text)
+
+    def is_canonical(self, x):
+        return type(x) is str and all(c in self._letter_rank for c in x) \
+            and self._reduce(x) == x
 
     def length(self, x):
         return len(x)
@@ -353,13 +385,12 @@ class TableGroup(GroupHandle):
                  and all(self.table[i][e] == i for i in range(n))]
         if not ident:
             raise GroupSpecError("table has no two-sided identity")
-        self._e = ident[0]
-        self.identity = str(self._e)
+        self.identity = ident[0]
         self.n = n
         self._check_associativity()
         self._inv = [0] * n
         for i in range(n):
-            self._inv[i] = self.table[i].index(self._e)
+            self._inv[i] = self.table[i].index(self.identity)
 
     def _check_associativity(self):
         n = self.n
@@ -385,31 +416,34 @@ class TableGroup(GroupHandle):
         return self.n
 
     def mul(self, a, b):
-        return str(self.table[int(a)][int(b)])
+        return self.table[a][b]
 
     def inv(self, a):
-        return str(self._inv[int(a)])
+        return self._inv[a]
 
-    def parse(self, text):
+    def _parse_text(self, text):
         try:
             v = int(text)
         except ValueError:
             raise GroupSpecError(f"bad table element {text!r}") from None
         if not 0 <= v < self.n:
             raise GroupSpecError(f"table element {v} out of range 0..{self.n - 1}")
-        return str(v)
+        return v
+
+    def is_canonical(self, x):
+        return type(x) is int and 0 <= x < self.n
 
     def length(self, x):
         return 0 if x == self.identity else 1
 
     def sort_key(self, x):
-        return (int(x),)
+        return (x,)
 
     def enumerate_elements(self):
         yield self.identity
         for i in range(self.n):
-            if i != self._e:
-                yield str(i)
+            if i != self.identity:
+                yield i
 
 
 def parse_group(spec: dict) -> GroupHandle:

@@ -26,10 +26,12 @@ from .errors import BudgetError, GroupSpecError, MembershipError
 from .finite import DensePerm, compose_dense, parity_dense
 from .groups import (
     CyclicGroup,
+    Element,
     GroupHandle,
     TableGroup,
     cyclic_table,
     direct_product_table,
+    format_value,
 )
 from .pointed import BASE, FinPerm, Point, PointedUnion, random_perm, side_points
 
@@ -42,7 +44,7 @@ class FiniteQuotient:
 
     source: GroupHandle
     target: GroupHandle
-    proj: Callable[[str], str]
+    proj: Callable[[Element], Element]
     injectivity_radius: int
 
     def __post_init__(self):
@@ -98,11 +100,15 @@ def build_quotient(G: GroupHandle, radius: int,
             table = direct_product_table(table, cyclic_table(m))
         target = TableGroup(table)
 
-    def proj(x: str) -> str:
-        idx = 0
-        for c in x.split(","):
-            idx = idx * m + (int(c) % m)
-        return str(idx)
+    if G.kind == "integers":
+        def proj(x: int) -> int:
+            return x % m
+    else:
+        def proj(x: tuple[int, ...]) -> int:
+            idx = 0
+            for c in x:
+                idx = idx * m + c % m
+            return idx
 
     return FiniteQuotient(G, target, proj, (m - 1) // 2)
 
@@ -121,8 +127,8 @@ class Window:
 
     points: tuple[Point, ...]  # C_n in canonical order
     point_set: frozenset[Point]  # C_n as a set
-    g_ball: tuple[str, ...]
-    h_ball: tuple[str, ...]
+    g_ball: tuple[Element, ...]
+    h_ball: tuple[Element, ...]
     h_trivial: bool  # h = e on all of F_n: not bounded by length, not drawn
     even: bool  # residuals are even
     size: int  # |F_n|
@@ -244,8 +250,8 @@ class Approximation:
                     f"quotient injectivity radius {q.injectivity_radius} < 4n = {4 * n}"
                 )
         self.target = PointedUnion(self.qg.target, self.qh.target)
-        self._translations: dict[tuple[str, str], DensePerm] = {}
-        self._outers: dict[tuple[str, str], DensePerm] = {}
+        self._translations: dict[tuple[str, Element], DensePerm] = {}
+        self._outers: dict[tuple[Element, Element], DensePerm] = {}
         self._point_images: dict[Point, int] = {}
 
     # -- the map itself -------------------------------------------------
@@ -259,7 +265,7 @@ class Approximation:
             image = self._point_images[p] = self.target.index[projected]
         return image
 
-    def _translation(self, side: str, x: str) -> DensePerm:
+    def _translation(self, side: str, x: Element) -> DensePerm:
         cached = self._translations.get((side, x))
         if cached is None:
             cached = self.target.dense(self.target.translation(side, x))
@@ -272,7 +278,7 @@ class Approximation:
             images[self.point_image(p)] = self.point_image(q)
         return tuple(images)
 
-    def phi_parts(self, s: PvElement) -> tuple[str, str, DensePerm]:
+    def phi_parts(self, s: PvElement) -> tuple[Element, Element, DensePerm]:
         if not in_window(self.ctx, s, 2 * self.n):
             raise MembershipError(f"element outside the window F_{2 * self.n}")
         return (self.qg.proj(s.g), self.qh.proj(s.h), self.pushforward(s.a))
@@ -387,7 +393,8 @@ class Approximation:
                         continue  # kernel shadow: projection collapses to the basepoint
                     holds = self.point_image(ctx.union.apply_factor(side, x, z)) \
                         == trans[self.point_image(z)]
-                    yield None if holds else f"{side}:{x} at {ctx.union.format_point(z)}"
+                    yield None if holds else \
+                        f"{side}:{format_value(x)} at {ctx.union.format_point(z)}"
 
     @_check("pushforward")
     def check_pushforward(self, mode: str = "exhaustive",

@@ -1,9 +1,9 @@
 """The pointed union of two factor groups and its finitely supported permutations.
 
 Points carry a side tag: ``'e'`` for the shared basepoint, ``'g'`` or
-``'h'`` for a non-identity element of the respective factor.  The factor
-identities are always represented by the basepoint, which is what glues
-the two copies together.
+``'h'`` for a non-identity element value of the respective factor.  The
+factor identities are always represented by the basepoint, which is what
+glues the two copies together.
 """
 
 from __future__ import annotations
@@ -14,16 +14,23 @@ from random import Random
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import WordParseError
-from .groups import DensePerm, GroupHandle
+from .groups import DensePerm, Element, GroupHandle, format_value
 
 
 class Point(NamedTuple):
+    """A point as a plain tuple, so hashing and equality run at C level.
+
+    Hot paths build points with ``tuple.__new__(Point, (side, x))``,
+    which skips the Python-level constructor.
+    """
+
     side: str  # 'e', 'g' or 'h'
-    payload: str  # canonical element string; "" for the basepoint
+    payload: Element  # the element value; "" for the basepoint
 
     def __str__(self) -> str:
         """The text form: ``e`` for the basepoint, else ``side:payload``."""
-        return "e" if self.side == "e" else f"{self.side}:{self.payload}"
+        side, x = self
+        return "e" if side == "e" else f"{side}:{format_value(x)}"
 
 
 BASE = Point("e", "")
@@ -35,25 +42,38 @@ class FinPerm:
     Only non-fixed points are stored; the identity is the empty mapping.
     Instances are immutable and hashable; the hash and the parity are
     computed on first use, since most intermediate products need neither.
+    The inverse mapping is carried along: ``compose`` patches it as it
+    patches the forward one, and ``inverse`` swaps the two.  A trusted
+    perm built without it computes it on first use.
     """
 
-    __slots__ = ("_moved", "_hash", "_even")
+    __slots__ = ("_moved", "_inv", "_hash", "_even")
 
     def __init__(self, moved: Mapping[Point, Point]):
         cleaned = {p: q for p, q in moved.items() if p != q}
-        if set(cleaned.values()) != set(cleaned):
+        inv = {q: p for p, q in cleaned.items()}
+        if inv.keys() != cleaned.keys():
             raise WordParseError("mapping is not a permutation of its support")
         self._moved = cleaned
+        self._inv = inv
         self._hash = None
         self._even = None
 
     @classmethod
-    def _trusted(cls, cleaned: dict[Point, Point]) -> "FinPerm":
+    def _trusted(cls, cleaned: dict[Point, Point],
+                 inv: Optional[dict[Point, Point]] = None) -> "FinPerm":
         out = object.__new__(cls)
         out._moved = cleaned
+        out._inv = inv
         out._hash = None
         out._even = None
         return out
+
+    def _inverse_map(self) -> dict[Point, Point]:
+        inv = self._inv
+        if inv is None:
+            inv = self._inv = dict(zip(self._moved.values(), self._moved.keys()))
+        return inv
 
     @classmethod
     def identity(cls) -> "FinPerm":
@@ -62,6 +82,7 @@ class FinPerm:
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[Point]]) -> "FinPerm":
         moved: dict[Point, Point] = {}
+        nontrivial = 0
         for cycle in cycles:
             if len(set(cycle)) != len(cycle):
                 text = " ".join(map(str, cycle))
@@ -70,7 +91,12 @@ class FinPerm:
                 if p in moved:
                     raise WordParseError(f"point {p} appears in two cycles")
                 moved[p] = q
-        return cls(moved)
+            nontrivial += len(cycle) > 1
+        moved = {p: q for p, q in moved.items() if p != q}  # 1-cycles fix their point
+        out = cls._trusted(moved, {q: p for p, q in moved.items()})
+        # the cycles are disjoint: each of length k is k - 1 transpositions
+        out._even = (len(moved) - nontrivial) % 2 == 0
+        return out
 
     @property
     def moved(self) -> dict[Point, Point]:
@@ -106,10 +132,12 @@ class FinPerm:
     def compose(self, other: "FinPerm") -> "FinPerm":
         """(self o other): apply ``other`` first, then ``self``.
 
-        Copies the larger operand's mapping and patches only the points
+        Copies the larger operand's mappings and patches only the points
         the smaller one touches, so the Python work is O(support of the
-        smaller operand) plus C-level dict copies.  Reads go to the
-        unpatched operands: a patched entry must not be read back.
+        smaller operand) plus C-level dict copies.  Each patch p -> r of
+        the product is r -> p of its inverse, so the inverse is patched
+        from the same operand's inverse.  Reads go to the unpatched
+        operands: a patched entry must not be read back.
         """
         outer, inner = self._moved, other._moved
         if not inner:
@@ -118,24 +146,28 @@ class FinPerm:
             return other
         if len(outer) >= len(inner):
             # p in supp(inner) maps to outer(inner(p)); elsewhere to outer(p)
-            moved = dict(outer)
-            patches = ((p, outer.get(q, q)) for p, q in inner.items())
+            moved, inv = dict(outer), dict(self._inverse_map())
+            patches = [(p, outer.get(q, q)) for p, q in inner.items()]
         else:
             # only the preimages under inner of supp(outer) change: inner^-1(x) -> outer(x)
-            preimage = dict(zip(inner.values(), inner.keys()))
-            moved = dict(inner)
-            patches = ((preimage.get(x, x), r) for x, r in outer.items())
+            preimage = other._inverse_map()
+            moved, inv = dict(inner), dict(preimage)
+            patches = [(preimage.get(x, x), r) for x, r in outer.items()]
         for p, r in patches:
             if r == p:
                 moved.pop(p, None)
+                inv.pop(p, None)
             else:
                 moved[p] = r
-        return FinPerm._trusted(moved)
+                inv[r] = p
+        return FinPerm._trusted(moved, inv)
 
     def inverse(self) -> "FinPerm":
         if not self._moved:
             return self
-        return FinPerm._trusted(dict(zip(self._moved.values(), self._moved.keys())))
+        out = FinPerm._trusted(self._inverse_map(), self._moved)
+        out._even = self._even
+        return out
 
     def cycles(self) -> list[tuple[Point, ...]]:
         """Cycle decomposition of the support, in traversal order."""
@@ -166,20 +198,21 @@ class FinPerm:
         return lcm(*(len(c) for c in self.cycles())) if self._moved else 1
 
 
-_IDENTITY = FinPerm._trusted({})
+_IDENTITY = FinPerm._trusted({}, {})
 
 
 def three_cycle(p: Point, q: Point, r: Point) -> FinPerm:
     """The permutation p -> q -> r -> p fixing everything else."""
     if len({p, q, r}) != 3:
         raise WordParseError(f"three_cycle needs distinct points, got {p}, {q}, {r}")
-    return FinPerm._trusted({p: q, q: r, r: p})
+    return FinPerm._trusted({p: q, q: r, r: p}, {q: p, r: q, p: r})
 
 
 def transposition(p: Point, q: Point) -> FinPerm:
     if p == q:
         raise WordParseError("transposition needs two distinct points")
-    return FinPerm._trusted({p: q, q: p})
+    swap = {p: q, q: p}
+    return FinPerm._trusted(swap, dict(swap))
 
 
 def side_points(handle: GroupHandle, side: str,
@@ -203,6 +236,8 @@ def random_perm(points: Sequence[Point], rng: Random, even: bool) -> FinPerm:
 
 
 _POINT_RE = re.compile(r"^(e|[gh]:.+)$")
+_PERM_RE = re.compile(r"(\s*\([^()]*\)\s*)*")
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 class PointedUnion:
@@ -218,50 +253,62 @@ class PointedUnion:
     def __init__(self, G: GroupHandle, H: GroupHandle):
         self.G = G
         self.H = H
+        self._sides = {"g": G, "h": H}
+        self._translations: dict[tuple[str, Element], FinPerm] = {}
 
     def handle(self, side: str) -> GroupHandle:
-        if side == "g":
-            return self.G
-        if side == "h":
-            return self.H
-        raise WordParseError(f"side must be 'g' or 'h', got {side!r}")
+        handle = self._sides.get(side)
+        if handle is None:
+            raise WordParseError(f"side must be 'g' or 'h', got {side!r}")
+        return handle
 
-    def point(self, side: str, x: str) -> Point:
-        """The point of ``x`` on the given side; the identity is BASE."""
-        handle = self.handle(side)
-        if x == handle.identity:
+    def point(self, side: str, x: Element) -> Point:
+        """The point of the value ``x`` on the given side; the identity is BASE."""
+        if x == self.handle(side).identity:
             return BASE
-        return Point(side, x)
+        return tuple.__new__(Point, (side, x))
 
-    def g_point(self, x: str) -> Point:
+    def g_point(self, x: Element) -> Point:
         return self.point("g", x)
 
-    def h_point(self, x: str) -> Point:
+    def h_point(self, x: Element) -> Point:
         return self.point("h", x)
 
-    def apply_factor(self, side: str, x: str, p: Point) -> Point:
+    def apply_factor(self, side: str, x: Element, p: Point) -> Point:
         """Left multiplication by ``x`` on its own side, trivial elsewhere."""
-        handle = self.handle(side)
-        if p.side == side:
-            return self.point(side, handle.mul(x, p.payload))
-        if p.side == "e":
-            return self.point(side, x)
-        return p
+        handle = self._sides.get(side) or self.handle(side)
+        if p[0] == side:
+            y = handle.mul(x, p[1])
+        elif p[0] == "e":
+            y = x
+        else:
+            return p
+        return BASE if y == handle.identity else tuple.__new__(Point, (side, y))
 
-    def translation(self, side: str, x: str) -> FinPerm:
+    def translation(self, side: str, x: Element) -> FinPerm:
         """Left translation by ``x`` as a finitely supported permutation.
 
         Only defined when the factor is finite (otherwise the support
-        would be the whole side).
+        would be the whole side).  Each translation is built once and
+        kept with the union, so there are at most |G| + |H| of them.
         """
+        cached = self._translations.get((side, x))
+        if cached is not None:
+            return cached
         handle = self.handle(side)
         if not handle.is_finite:
             raise WordParseError(
                 f"translation by an element of infinite {handle!r} is not finitely supported"
             )
         points = {y: self.point(side, y) for y in handle.elements()}
-        images = ((p, points[handle.mul(x, y)]) for y, p in points.items())
-        return FinPerm._trusted({p: q for p, q in images if p != q})
+        moved, inv = {}, {}
+        for y, p in points.items():
+            q = points[handle.mul(x, y)]
+            if p != q:
+                moved[p] = q
+                inv[q] = p
+        cached = self._translations[side, x] = FinPerm._trusted(moved, inv)
+        return cached
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -284,10 +331,10 @@ class PointedUnion:
 
     def sort_key(self, p: Point):
         """Canonical total order: basepoint, then the G side, then the H side."""
-        if p.side == "e":
+        side, x = p
+        if side == "e":
             return (0, ())
-        rank = 1 if p.side == "g" else 2
-        return (rank, self.handle(p.side).sort_key(p.payload))
+        return (1 if side == "g" else 2, self._sides[side].sort_key(x))
 
     def sorted_points(self, points: Iterable[Point]) -> list[Point]:
         return sorted(points, key=self.sort_key)
@@ -304,36 +351,38 @@ class PointedUnion:
         return str(p)
 
     def parse_point(self, text: str) -> Point:
+        """The point of a literal ``e`` or ``side:payload``; the payload is
+        parsed once, by its side's handle."""
         text = text.strip()
-        if not _POINT_RE.match(text):
-            raise WordParseError(f"bad point literal {text!r}")
         if text == "e":
             return BASE
-        side, payload = text.split(":", 1)
-        return self.point(side, self.handle(side).parse(payload))
+        if not _POINT_RE.match(text):
+            raise WordParseError(f"bad point literal {text!r}")
+        side = text[0]
+        handle = self._sides[side]
+        x = handle.parse(text[2:])
+        return BASE if x == handle.identity else tuple.__new__(Point, (side, x))
 
     def format_perm(self, a: FinPerm) -> str:
+        """Cycle text: each cycle from its least point, cycles by their least point."""
         if not a:
             return "()"
+        key = self.sort_key
         cycles = []
         for cycle in a.cycles():
-            pivot = min(range(len(cycle)), key=lambda i: self.sort_key(cycle[i]))
-            cycles.append(cycle[pivot:] + cycle[:pivot])
-        cycles.sort(key=lambda c: self.sort_key(c[0]))
-        return "".join(
-            "(" + " ".join(self.format_point(p) for p in cycle) + ")"
-            for cycle in cycles
-        )
+            keys = list(map(key, cycle))
+            pivot = keys.index(min(keys))
+            cycles.append((keys[pivot], cycle[pivot:] + cycle[:pivot]))
+        cycles.sort(key=lambda kc: kc[0])
+        return "".join("(" + " ".join(map(str, cycle)) + ")" for _, cycle in cycles)
 
     def parse_perm(self, text: str) -> FinPerm:
         text = text.strip()
-        body = re.sub(r"\s+", " ", text)
-        if not re.fullmatch(r"(\s*\([^()]*\)\s*)*", body):
+        if not _PERM_RE.fullmatch(text):
             raise WordParseError(f"bad permutation literal {text!r}")
         cycles = []
-        for chunk in re.findall(r"\(([^()]*)\)", body):
+        for chunk in _CYCLE_RE.findall(text):
             items = chunk.split()
-            if not items:
-                continue
-            cycles.append([self.parse_point(t) for t in items])
+            if items:
+                cycles.append([self.parse_point(t) for t in items])
         return FinPerm.from_cycles(cycles)

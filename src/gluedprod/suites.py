@@ -26,6 +26,7 @@ from .groups import (
     TableGroup,
     cyclic_table,
     direct_product_table,
+    format_value,
     parse_group,
     symmetric_group_table,
 )
@@ -155,9 +156,9 @@ def _core_commutator(cfg: SuiteConfig, rng: Random):
         word = ctx.normalize([("G", g), ("H", h),
                               ("G", ctx.G.inv(g)), ("H", ctx.H.inv(h))])
         if word != c:
-            return False, f"g={g} h={h}"
+            return False, f"g={format_value(g)} h={format_value(h)}"
         if ctx.multiply(ctx.multiply(c, c), c) != ctx.identity:
-            return False, f"cube not trivial at g={g} h={h}"
+            return False, f"cube not trivial at g={format_value(g)} h={format_value(h)}"
     return True, f"{count} pairs"
 
 
@@ -220,7 +221,7 @@ def _finite_translation_signs(cfg: SuiteConfig, rng: Random):
         for x in G.elements():
             direct = 1 if union.translation("g", x).is_even() else -1
             if translation_sign(G, x) != direct:
-                return False, f"{name} element {x}"
+                return False, f"{name} element {format_value(x)}"
     return True, "catalog agreed"
 
 
@@ -374,7 +375,7 @@ def _dynamics_folner(cfg: SuiteConfig, rng: Random):
 def _dynamics_pong(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
     if ctx.G.kind == ctx.H.kind == "integers":
-        pairs = (("1", "1"), ("2", "3"), ("-1", "5"))
+        pairs = ((1, 1), (2, 3), (-1, 5))
     else:
         gs = [x for x in ctx.G.ball(3)
               if ctx.G.element_order(x) is None][:3]
@@ -386,7 +387,7 @@ def _dynamics_pong(cfg: SuiteConfig, rng: Random):
     for g, h in pairs:
         report = dynamics.free_semigroup_check(ctx, g, h, 8)
         if not report.ok:
-            return False, f"g={g} h={h}"
+            return False, f"g={format_value(g)} h={format_value(h)}"
     return True, f"{len(pairs)} generator pairs"
 
 

@@ -15,6 +15,7 @@ from gluedprod import (
     IntegersGroup,
     MembershipError,
     Point,
+    PointedUnion,
     PvContext,
     PvElement,
     RegimeError,
@@ -36,19 +37,19 @@ def test_regime_detection():
 
 
 def test_act_examples(zz):
-    assert zz.act(zz.from_g("1"), BASE) == Point("g", "1")
+    assert zz.act(zz.from_g("1"), BASE) == Point("g", 1)
     # the H copy moves nothing on the other side
-    assert zz.act(zz.from_h("1"), Point("g", "5")) == Point("g", "5")
-    assert zz.act(zz.commutator("1", "1"), BASE) == Point("g", "1")
+    assert zz.act(zz.from_h("1"), Point("g", 5)) == Point("g", 5)
+    assert zz.act(zz.commutator("1", "1"), BASE) == Point("g", 1)
 
 
 def test_multiply_examples(zz):
     gh = zz.multiply(zz.from_g("1"), zz.from_h("1"))
-    assert gh == PvElement("1", "1", FinPerm.identity())
+    assert gh == PvElement(1, 1, FinPerm.identity())
     hg = zz.multiply(zz.from_h("1"), zz.from_g("1"))
-    assert hg.g == "1" and hg.h == "1"
+    assert hg.g == 1 and hg.h == 1
     # residual is the commutator of the inverses: e -> h:-1 -> g:-1 -> e
-    want = three_cycle(BASE, Point("h", "-1"), Point("g", "-1"))
+    want = three_cycle(BASE, Point("h", -1), Point("g", -1))
     assert hg.a == want
     sigma = random_element(zz, Random(1))
     assert zz.multiply(sigma, zz.identity) == sigma
@@ -72,11 +73,11 @@ def test_multiply_matches_action_oracle(zz_fast):
 def test_commutator_is_tricycle(zz):
     c = zz.commutator("1", "1")
     assert c == zz.normalize([("G", "1"), ("H", "1"), ("G", "-1"), ("H", "-1")])
-    assert c.a == three_cycle(BASE, Point("g", "1"), Point("h", "1"))
+    assert c.a == three_cycle(BASE, Point("g", 1), Point("h", 1))
     # the three evaluations of the proof
-    assert zz.act(c, BASE) == Point("g", "1")
-    assert zz.act(c, Point("g", "1")) == Point("h", "1")
-    assert zz.act(c, Point("h", "1")) == BASE
+    assert zz.act(c, BASE) == Point("g", 1)
+    assert zz.act(c, Point("g", 1)) == Point("h", 1)
+    assert zz.act(c, Point("h", 1)) == BASE
     assert zz.commutator("0", "5") == zz.identity
     assert zz.commutator("5", "0") == zz.identity
 
@@ -95,7 +96,7 @@ def test_commutator_cube_trivial(zz):
 def test_commutator_over_free_factor():
     ctx = PvContext(FreeGroup(2), IntegersGroup(), check=True)
     c = ctx.commutator("aB", "2")
-    assert c.a == three_cycle(BASE, Point("g", "aB"), Point("h", "2"))
+    assert c.a == three_cycle(BASE, Point("g", "aB"), Point("h", 2))
     word = [("G", "aB"), ("H", "2"), ("G", "bA"), ("H", "-2")]
     assert ctx.normalize(word) == c
     cube = ctx.multiply(ctx.multiply(c, c), c)
@@ -118,7 +119,7 @@ def test_normalize_examples(zz):
     assert zz.normalize([("G", "2"), ("G", "3")]) == zz.from_g("5")
     assert zz.normalize([]) == zz.identity
     with pytest.raises(MembershipError):
-        zz.normalize([("PERM", transposition(BASE, Point("g", "1")))])
+        zz.normalize([("PERM", transposition(BASE, Point("g", 1)))])
 
 
 def test_residual_parity_always_even(zz_fast):
@@ -140,8 +141,8 @@ def test_project_homomorphism_and_monolith(zz_fast):
             ctx.G.mul(s1.g, s2.g),
             ctx.H.mul(s1.h, s2.h),
         )
-        assert ctx.in_monolith(prod) == (ctx.project(prod) == ("0", "0"))
-    assert ctx.project(ctx.commutator("4", "-2")) == ("0", "0")
+        assert ctx.in_monolith(prod) == (ctx.project(prod) == (0, 0))
+    assert ctx.project(ctx.commutator("4", "-2")) == (0, 0)
     assert ctx.in_monolith(ctx.commutator("4", "-2"))
     assert not ctx.in_monolith(ctx.from_g("1"))
     assert ctx.in_monolith(ctx.identity)
@@ -163,8 +164,8 @@ def test_element_orders_of_commutator_products(zz):
 
 def test_element_order_cap(zz):
     big = FinPerm.from_cycles([
-        [Point("g", str(k)) for k in range(1, 6)],
-        [Point("h", str(k)) for k in range(1, 8)],
+        [Point("g", k) for k in range(1, 6)],
+        [Point("h", k) for k in range(1, 8)],
     ])
     s = zz.from_perm(big)
     assert zz.element_order(s) == 35
@@ -174,13 +175,13 @@ def test_element_order_cap(zz):
 
 def test_stabilizer_lift(zz):
     lift = zz.stabilizer_lift("1", "2")
-    assert zz.project(lift) == ("0", "1")
+    assert zz.project(lift) == (0, 1)
     rng = Random(3)
     for k in list(range(-20, 21)):
-        p = BASE if k == 0 else Point("g", str(k))
+        p = BASE if k == 0 else Point("g", k)
         assert zz.act(lift, p) == p
     # action on the H side matches the defining product
-    sigma = zz.from_perm(three_cycle(Point("h", "1"), BASE, Point("h", "2")))
+    sigma = zz.from_perm(three_cycle(Point("h", 1), BASE, Point("h", 2)))
     expected = zz.multiply(sigma, zz.from_h("1"))
     for p in random_points(zz, rng, 50):
         assert zz.act(lift, p) == zz.act(expected, p)
@@ -231,12 +232,12 @@ def test_embed_rejects_non_homomorphism(zz):
 def test_mixed_regime_conventions(z_mod2):
     ctx = z_mod2
     s = ctx.from_h("1")
-    assert s.h == "0"
-    assert s.a(BASE) == Point("h", "1")
-    assert s.a(Point("h", "1")) == BASE
+    assert s.h == 0
+    assert s.a(BASE) == Point("h", 1)
+    assert s.a(Point("h", 1)) == BASE
     # squaring the involution gives the identity
     assert ctx.multiply(s, s) == ctx.identity
-    assert ctx.project_g(ctx.multiply(ctx.from_g("4"), s)) == "4"
+    assert ctx.project_g(ctx.multiply(ctx.from_g("4"), s)) == 4
     mixed = ctx.multiply(ctx.from_g("2"), s)
     assert ctx.multiply(mixed, ctx.invert(mixed)) == ctx.identity
     with pytest.raises(RegimeError):
@@ -245,21 +246,34 @@ def test_mixed_regime_conventions(z_mod2):
         ctx.in_monolith(s)
 
 
+def test_mixed_translations_are_built_once_per_element(monkeypatch):
+    ctx = PvContext(IntegersGroup(), CyclicGroup(12))
+    calls = []
+    mul = ctx.H.mul
+    monkeypatch.setattr(ctx.H, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    letters = [ctx.from_h("5") for _ in range(100)]
+    assert len(calls) <= 12
+    fresh = PointedUnion(IntegersGroup(), CyclicGroup(12)).translation("h", 5)
+    assert all(s == PvElement(0, 0, fresh) for s in letters)
+    assert ctx.element(g="1", h="5") == PvElement(1, 0, fresh)
+    assert len(calls) <= 12
+
+
 def test_mixed_membership_convention():
     # Z/2 has a cyclic 2-Sylow: odd residuals are genuine elements
     sym_ctx = PvContext(IntegersGroup(), CyclicGroup(2))
-    odd = transposition(BASE, Point("h", "1"))
+    odd = transposition(BASE, Point("h", 1))
     assert sym_ctx.from_perm(odd).a == odd
     # Z/3 does not: odd residuals are rejected
     alt_ctx = PvContext(IntegersGroup(), CyclicGroup(3))
     with pytest.raises(MembershipError):
-        alt_ctx.from_perm(transposition(BASE, Point("h", "1")))
+        alt_ctx.from_perm(transposition(BASE, Point("h", 1)))
 
 
 def test_mixed_multiply_matches_action(z_mod3):
     ctx = z_mod3
     rng = Random(8)
-    h_points = [BASE, Point("h", "1"), Point("h", "2")]
+    h_points = [BASE, Point("h", 1), Point("h", 2)]
 
     def random_mixed():
         g = str(rng.randint(-4, 4))
@@ -273,7 +287,7 @@ def test_mixed_multiply_matches_action(z_mod3):
     for _ in range(200):
         s1, s2 = random_mixed(), random_mixed()
         prod = ctx.multiply(s1, s2)
-        assert prod.h == "0"
+        assert prod.h == 0
         probes = set(h_points) | set(prod.a.support()) | set(random_points(ctx, rng, 6))
         for p in probes:
             assert ctx.act(prod, p) == ctx.act(s1, ctx.act(s2, p))
@@ -285,7 +299,7 @@ def test_word_parsing_and_formatting(zz):
     assert zz.format_element(zz.eval_word("")) == "g=0 h=0 a=()"
     assert zz.format_element(zz.eval_word("G:2 G:3")) == "g=5 h=0 a=()"
     t = zz.eval_word("PERM:(e g:1 h:1) H:2")
-    assert t == zz.multiply(zz.from_perm(three_cycle(BASE, Point("g", "1"), Point("h", "1"))),
+    assert t == zz.multiply(zz.from_perm(three_cycle(BASE, Point("g", 1), Point("h", 1))),
                             zz.from_h("2"))
 
 

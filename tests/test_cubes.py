@@ -42,7 +42,7 @@ from gluedprod.sampling import vertex as random_vertex
 def test_s_invariant_examples():
     assert s_invariant(whole_g_side()) == 0
     assert s_invariant(g_side_without_base()) == -1
-    assert s_invariant(CubeVertex(frozenset(), frozenset([Point("h", "1")]))) == 1
+    assert s_invariant(CubeVertex(frozenset(), frozenset([Point("h", 1)]))) == 1
 
 
 def test_distance_examples():
@@ -50,14 +50,14 @@ def test_distance_examples():
     assert distance(v, v) == 0
     assert distance(v, g_side_without_base()) == 1
     assert adjacent(v, g_side_without_base())
-    w = CubeVertex(frozenset([Point("g", "2")]), frozenset([Point("h", "1")]))
+    w = CubeVertex(frozenset([Point("g", 2)]), frozenset([Point("h", 1)]))
     assert distance(v, w) == 2
 
 
 def test_fixed_points():
     assert fixed_by_G(whole_g_side()) and not fixed_by_H(whole_g_side())
     assert fixed_by_H(g_side_without_base()) and not fixed_by_G(g_side_without_base())
-    plus = CubeVertex(frozenset(), frozenset([Point("h", "1")]))
+    plus = CubeVertex(frozenset(), frozenset([Point("h", 1)]))
     assert fixed_by_G(plus) and s_invariant(plus) == 1
 
 
@@ -69,13 +69,13 @@ def test_act_vertex_fixed_vertices(zz):
 
 def test_act_vertex_translation(zz):
     moved = act_vertex(zz, zz.from_g("1"), g_side_without_base())
-    assert moved == CubeVertex(frozenset([Point("g", "1")]), frozenset())
+    assert moved == CubeVertex(frozenset([Point("g", 1)]), frozenset())
 
 
 def test_act_vertex_h_on_base(zz):
     # h sends the G side to (G minus basepoint) plus the h point
     moved = act_vertex(zz, zz.from_h("1"), whole_g_side())
-    assert moved == CubeVertex(frozenset([BASE]), frozenset([Point("h", "1")]))
+    assert moved == CubeVertex(frozenset([BASE]), frozenset([Point("h", 1)]))
 
 
 def test_act_vertex_membership_oracle(zz_fast):
@@ -122,14 +122,14 @@ def test_templates(zz):
     assert template_vertex(zz, -1) == g_side_without_base()
     t2 = template_vertex(zz, 2)
     assert t2.removed == frozenset()
-    assert t2.added == frozenset([Point("h", "1"), Point("h", "-1")])
+    assert t2.added == frozenset([Point("h", 1), Point("h", -1)])
 
 
 def test_transporter_examples(zz):
     v = whole_g_side()
     assert transporter(zz, v, v) == zz.identity
-    a = CubeVertex(frozenset([Point("g", "1")]), frozenset())
-    b = CubeVertex(frozenset([Point("g", "2")]), frozenset())
+    a = CubeVertex(frozenset([Point("g", 1)]), frozenset())
+    b = CubeVertex(frozenset([Point("g", 2)]), frozenset())
     t = transporter(zz, a, b)
     assert act_vertex(zz, t, a) == b
     assert t.a.is_even()

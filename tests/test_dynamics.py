@@ -52,13 +52,13 @@ def test_pong_cap(zz_fast):
 
 def test_folner_set_interval(zz_fast):
     F = folner_set(zz_fast, 1)
-    assert F.points == {Point("g", "1"), Point("g", "2"), Point("g", "3")}
+    assert F.points == {Point("g", 1), Point("g", 2), Point("g", 3)}
     F3 = folner_set(zz_fast, 3)
     assert len(F3.points) == 7
     values = sorted(int(p.payload) for p in F3.points)
     assert values == list(range(1, 8))
     for n in range(1, 30):
-        assert all(p.payload != "0" for p in folner_set(zz_fast, n).points)
+        assert all(p.payload != 0 for p in folner_set(zz_fast, n).points)
 
 
 def test_folner_ratios(zz_fast):

@@ -8,14 +8,21 @@ from random import Random
 import pytest
 
 from gluedprod import (
+    BASE,
     BudgetError,
     GroupSpecError,
+    IntegersGroup,
+    MembershipError,
+    Point,
+    PvContext,
     parse_group,
     schreier_sims_order,
+    three_cycle,
 )
-from gluedprod.groups import cyclic_table, symmetric_group_table
+from gluedprod.groups import cyclic_table, format_value, symmetric_group_table
 
 from conftest import finite_catalog, mulclose
+from test_numbering import shifted_cyclic
 
 
 ALL_SPECS = [
@@ -50,7 +57,7 @@ def test_parse_group_examples():
     assert free2.parse("aAb") == "b"
     z2 = parse_group({"type": "table", "table": [[0, 1], [1, 0]]})
     assert z2.order() == 2
-    assert z2.element_order("1") == 2
+    assert z2.element_order(1) == 2
 
 
 def test_parse_group_rejects_bad_specs():
@@ -94,7 +101,7 @@ def test_ball_free_rank2():
 def test_ball_lattice_against_enumeration():
     L = parse_group({"type": "lattice", "d": 2})
     want = {
-        f"{x},{y}"
+        (x, y)
         for x in range(-3, 4)
         for y in range(-3, 4)
         if abs(x) + abs(y) <= 1
@@ -123,16 +130,16 @@ def test_ball_cap():
 
 def test_element_orders():
     z4 = parse_group({"type": "cyclic", "n": 4})
-    assert z4.element_order("2") == 2
+    assert z4.element_order(2) == 2
     Z = parse_group({"type": "integers"})
-    assert Z.element_order("3") is None
+    assert Z.element_order(3) is None
     z6 = parse_group({"type": "cyclic", "n": 6})
     # power iteration oracle: 4, 4+4=2, 2+4=0
-    powers = ["4"]
-    while powers[-1] != "0":
-        powers.append(z6.mul(powers[-1], "4"))
+    powers = [4]
+    while powers[-1] != 0:
+        powers.append(z6.mul(powers[-1], 4))
     assert len(powers) == 3
-    assert z6.element_order("4") == 3
+    assert z6.element_order(4) == 3
 
 
 def test_free_reduction_and_inverse():
@@ -190,7 +197,7 @@ def test_large_table_uses_sampled_associativity():
     # above the exhaustive limit the check samples triples; a valid group passes
     G = parse_group({"type": "table", "table": cyclic_table(70)})
     assert G.order() == 70
-    assert G.mul("69", "1") == "0"
+    assert G.mul(69, 1) == 0
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s["type"] + str(s.get("n", s.get("d", s.get("rank", "")))))
@@ -213,3 +220,69 @@ def test_enumeration_matches_sort_key():
         assert first[0] == G.identity
         assert first == sorted(first, key=G.sort_key)
         assert len(set(first)) == len(first)
+
+
+FIVE_KINDS = [
+    {"type": "integers"},
+    {"type": "cyclic", "n": 5},
+    {"type": "lattice", "d": 2},
+    {"type": "free", "rank": 2},
+    {"type": "table", "table": symmetric_group_table(3)},
+]
+
+
+@pytest.mark.parametrize("spec", FIVE_KINDS, ids=lambda s: s["type"])
+def test_values_round_trip_through_their_text(spec):
+    G = parse_group(spec)
+    values = G.elements() if G.is_finite else G.ball(3)
+    for x in values:
+        assert G.is_canonical(x)
+        assert G.parse(format_value(x)) == x
+        assert G.parse(x) == x  # a canonical value passes through
+    assert len({format_value(x) for x in values}) == len(values)
+
+
+def test_ball_order_is_pinned_as_text():
+    def ball_text(spec, radius):
+        G = parse_group(spec)
+        return [format_value(x) for x in G.ball(radius)]
+
+    assert ball_text({"type": "integers"}, 2) == ["0", "1", "-1", "2", "-2"]
+    assert ball_text({"type": "cyclic", "n": 4}, 1) == ["0", "1", "2", "3"]
+    assert ball_text({"type": "lattice", "d": 2}, 1) == ["0,0", "-1,0", "0,-1", "0,1", "1,0"]
+    assert ball_text({"type": "free", "rank": 2}, 1) == ["", "a", "A", "b", "B"]
+    table = {"type": "table", "table": shifted_cyclic(4, 2).table}
+    assert parse_group(table).identity == 2
+    assert ball_text(table, 1) == ["2", "0", "1", "3"]
+
+
+def test_non_canonical_literals_canonicalise():
+    assert parse_group({"type": "integers"}).parse("+1") == 1
+    assert parse_group({"type": "integers"}).parse("01") == 1
+    assert parse_group({"type": "cyclic", "n": 3}).parse("-1") == 2
+    assert parse_group({"type": "lattice", "d": 2}).parse("1,00") == (1, 0)
+    assert parse_group({"type": "free", "rank": 1}).parse("aA") == ""
+    assert parse_group({"type": "table", "table": cyclic_table(3)}).parse("02") == 2
+
+
+@pytest.mark.parametrize("spec, literal, message", [
+    ({"type": "integers"}, "x", "bad integer element 'x'"),
+    ({"type": "cyclic", "n": 3}, "1.5", "bad cyclic element '1.5'"),
+    ({"type": "lattice", "d": 2}, "1,y", "bad lattice element '1,y'"),
+    ({"type": "lattice", "d": 2}, "1", "lattice element '1' has 1 coordinates, expected 2"),
+    ({"type": "free", "rank": 1}, "ab", "letter 'b' not among the 1 generators"),
+    ({"type": "table", "table": cyclic_table(3)}, "3", "table element 3 out of range 0..2"),
+    ({"type": "table", "table": cyclic_table(3)}, "", "bad table element ''"),
+])
+def test_bad_literals_keep_their_messages(spec, literal, message):
+    with pytest.raises(GroupSpecError) as err:
+        parse_group(spec).parse(literal)
+    assert str(err.value) == message
+
+
+def test_from_perm_still_checks_canonical_points():
+    ctx = PvContext(IntegersGroup(), IntegersGroup())
+    assert ctx.from_perm(three_cycle(BASE, Point("g", 1), Point("h", 1))).a
+    for bad in (Point("g", "1"), Point("g", 0), Point("h", 1.0)):
+        with pytest.raises(MembershipError):
+            ctx.from_perm(three_cycle(BASE, bad, Point("h", 2)))

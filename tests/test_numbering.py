@@ -92,7 +92,7 @@ def test_points_are_the_basepoint_then_each_side_in_canonical_order(G, H):
 
 def test_dense_translation_is_the_index_of_the_product():
     G, H = shifted_cyclic(5, 2), TableGroup(symmetric_group_table(3))
-    assert G.identity == "2"
+    assert G.identity == 2
     union = PointedUnion(G, H)
     for side, handle in (("g", G), ("h", H)):
         for x in handle.elements():

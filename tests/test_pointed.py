@@ -28,27 +28,27 @@ def pu():
 
 
 def test_point_constructors_collapse_identity(pu):
-    assert pu.g_point("0") == BASE
-    assert pu.h_point("0") == BASE
-    assert pu.g_point("3") == Point("g", "3")
-    assert pu.g_point("3") != pu.h_point("3")
+    assert pu.g_point(0) == BASE
+    assert pu.h_point(0) == BASE
+    assert pu.g_point(3) == Point("g", 3)
+    assert pu.g_point(3) != pu.h_point(3)
 
 
 def test_apply_factor_examples(pu):
     # regular action on the basepoint
-    assert pu.apply_factor("g", "1", BASE) == Point("g", "1")
+    assert pu.apply_factor("g", 1, BASE) == Point("g", 1)
     # trivially elsewhere: the other side is fixed
-    assert pu.apply_factor("h", "1", Point("g", "5")) == Point("g", "5")
+    assert pu.apply_factor("h", 1, Point("g", 5)) == Point("g", 5)
     # products collapsing to the identity return the basepoint
-    assert pu.apply_factor("g", "-3", Point("g", "3")) == BASE
+    assert pu.apply_factor("g", -3, Point("g", 3)) == BASE
 
 
 def test_apply_factor_inverse_roundtrip(pu):
     rng = Random(5)
     for p in random_points(pu, rng, 100):
         for side in "gh":
-            x = str(rng.randint(-6, 6))
-            xi = str(-int(x))
+            x = rng.randint(-6, 6)
+            xi = -x
             q = pu.apply_factor(side, xi, pu.apply_factor(side, x, p))
             assert q == p
 
@@ -211,41 +211,75 @@ def test_cached_parity_matches_the_cycle_count(shape, data):
 
 
 def test_perm_text_roundtrip(pu):
-    cyc = three_cycle(BASE, Point("g", "1"), Point("h", "2"))
+    cyc = three_cycle(BASE, Point("g", 1), Point("h", 2))
     text = pu.format_perm(cyc)
     assert text == "(e g:1 h:2)"
     assert pu.parse_perm(text) == cyc
     assert pu.format_perm(FinPerm.identity()) == "()"
     assert pu.parse_perm("()") == FinPerm.identity()
-    two = cyc.compose(transposition(Point("g", "5"), Point("g", "7")))
+    two = cyc.compose(transposition(Point("g", 5), Point("g", 7)))
     assert pu.parse_perm(pu.format_perm(two)) == two
     # whitespace-separated cycles parse too
     assert pu.parse_perm("(e g:1) (h:1 h:2)") == FinPerm.from_cycles(
-        [[BASE, Point("g", "1")], [Point("h", "1"), Point("h", "2")]]
+        [[BASE, Point("g", 1)], [Point("h", 1), Point("h", 2)]]
     )
 
 
 def test_perm_text_deterministic_under_cycle_rotation(pu):
-    a = FinPerm.from_cycles([[Point("g", "1"), Point("h", "1"), BASE]])
-    b = FinPerm.from_cycles([[BASE, Point("g", "1"), Point("h", "1")]])
+    a = FinPerm.from_cycles([[Point("g", 1), Point("h", 1), BASE]])
+    b = FinPerm.from_cycles([[BASE, Point("g", 1), Point("h", 1)]])
     assert a == b
     assert pu.format_perm(a) == pu.format_perm(b)
 
 
 def test_translation_finite_side():
     pu = PointedUnion(IntegersGroup(), CyclicGroup(3))
-    t = pu.translation("h", "1")
-    assert t(BASE) == Point("h", "1")
-    assert t(Point("h", "1")) == Point("h", "2")
-    assert t(Point("h", "2")) == BASE
-    assert t(Point("g", "4")) == Point("g", "4")
+    t = pu.translation("h", 1)
+    assert t(BASE) == Point("h", 1)
+    assert t(Point("h", 1)) == Point("h", 2)
+    assert t(Point("h", 2)) == BASE
+    assert t(Point("g", 4)) == Point("g", 4)
     with pytest.raises(WordParseError):
-        pu.translation("g", "1")
+        pu.translation("g", 1)
 
 
 def test_sorted_points_canonical_order(pu):
-    pts = [Point("h", "2"), Point("g", "-1"), BASE, Point("g", "1"), Point("h", "-2")]
+    pts = [Point("h", 2), Point("g", -1), BASE, Point("g", 1), Point("h", -2)]
     ordered = pu.sorted_points(pts)
     assert ordered[0] == BASE
-    assert ordered[1:3] == [Point("g", "1"), Point("g", "-1")]
-    assert ordered[3:] == [Point("h", "2"), Point("h", "-2")]
+    assert ordered[1:3] == [Point("g", 1), Point("g", -1)]
+    assert ordered[3:] == [Point("h", 2), Point("h", -2)]
+
+
+def assert_carries_its_inverse(x: FinPerm):
+    """The stored inverse is the swapped mapping, and undoes x from both sides."""
+    assert x._inv is not None
+    assert x._inv == dict(zip(x.moved.values(), x.moved.keys()))
+    for y in (x.compose(x.inverse()), x.inverse().compose(x)):
+        assert not y and y._inv == {}
+
+
+SHAPES = ["left-larger", "right-larger", "left-identity", "right-identity"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_carried_inverse_survives_compose_and_inverse_chains(data):
+    """compose patches the inverse mapping as it patches the forward one
+    (including where a point becomes fixed), over all four operand shapes
+    and both identity shortcuts; inverse swaps the two mappings."""
+    x = FinPerm.identity()
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        left, right = data.draw(compose_operands(data.draw(st.sampled_from(SHAPES))))
+        y = left.compose(right)
+        assert_carries_its_inverse(y)
+        step = data.draw(st.sampled_from(["after", "before", "inverse", "restart"]))
+        if step == "after":
+            x = y.compose(x)
+        elif step == "before":
+            x = x.compose(y)
+        elif step == "inverse":
+            x = x.inverse()
+        else:
+            x = y
+        assert_carries_its_inverse(x)
