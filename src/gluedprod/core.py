@@ -151,12 +151,14 @@ class PvContext:
 
     def _transport(self, a: FinPerm, g_inv, h_inv) -> FinPerm:
         """t a t^-1 for the translation t: p -> h_inv . (g_inv . p), where a
-        None part is skipped.  Each support point is translated once."""
+        None part is skipped.  Each support point is translated once, and
+        a factor part is not applied to a point of the other side, which
+        it fixes."""
         apply = self.union.apply_factor
         image = {}
         for p, _ in a.items():
-            q = p if g_inv is None else apply("g", g_inv, p)
-            image[p] = q if h_inv is None else apply("h", h_inv, q)
+            q = p if g_inv is None or p[0] == "h" else apply("g", g_inv, p)
+            image[p] = q if h_inv is None or q[0] == "g" else apply("h", h_inv, q)
         return FinPerm._trusted({image[p]: image[q] for p, q in a.items()})
 
     def multiply(self, s1: PvElement, s2: PvElement) -> PvElement:
@@ -183,13 +185,14 @@ class PvContext:
                 t2 = self._transport(a1, g2i, h2i)
             if not commutes:
                 # the 3-cycle (e h1^-1 g2^-1), moved by h2^-1 when h2 is not e;
-                # h1 and g2 are not e, so its three points differ
+                # h1 and g2 are not e, so its three points differ, and h2^-1
+                # fixes the g-side point
                 e = BASE
                 hp = tuple.__new__(Point, ("h", H.inv(h1)))
                 gp = tuple.__new__(Point, ("g", g2i))
                 if h2i is not None:
                     apply = self.union.apply_factor
-                    e, hp, gp = apply("h", h2i, e), apply("h", h2i, hp), apply("h", h2i, gp)
+                    e, hp = apply("h", h2i, e), apply("h", h2i, hp)
                 t1 = FinPerm._trusted({e: hp, hp: gp, gp: e}, {hp: e, gp: hp, e: gp})
                 t2 = t1.compose(t2)
             a2 = t2.compose(a2)

@@ -322,12 +322,23 @@ class Approximation:
     def check_multiplicativity(self, mode: str = "exhaustive",
                                sample: int = 10**5, seed: int = 0,
                                budget: int = DEFAULT_PAIR_BUDGET):
-        """phi(s1 s2) = phi(s1) phi(s2) over pairs of F_n."""
+        """phi(s1 s2) = phi(s1) phi(s2) over pairs of F_n.
+
+        phi of a window element is computed the first time a pair uses
+        its position, so a sample costs O(sample) maps, not O(|F_n|).
+        """
         elements, pairs = self._window_pairs(mode, sample, seed, budget)
-        phis = [self.phi(s) for s in elements]
+        phis: dict[int, DensePerm] = {}
+
+        def phi_at(i: int) -> DensePerm:
+            image = phis.get(i)
+            if image is None:
+                image = phis[i] = self.phi(elements[i])
+            return image
+
         for i, j in pairs:
             prod = self.ctx.multiply(elements[i], elements[j])
-            holds = self.phi(prod) == compose_dense(phis[i], phis[j])
+            holds = self.phi(prod) == compose_dense(phi_at(i), phi_at(j))
             yield None if holds else self._pair_label(elements[i], elements[j])
 
     @_check("window-closure")

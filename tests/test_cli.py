@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -308,3 +310,54 @@ def test_suite_only_runs_just_the_named_check(capsys, monkeypatch):
                            "--budget", "20")
     assert code == 0
     assert out.strip() == "ok   core.residual-parity  20 products even"
+
+
+# SHA-256 of the lef check JSON lines with wall_time dropped, recorded
+# before phi was computed lazily in sample mode
+LEF_CHECK_DIGESTS = [
+    (("-n", "1", "--modulus", "17", "--mode", "sample:10000"),
+     "25b9e9952713126561868e22149d576b1eaa1f6e60548c2929d5a50ea662af5a"),
+    (("-n", "1", "--left", '{"type":"lattice","d":2}', "--modulus", "9",
+      "--mode", "sample:2000"),
+     "0c150718a8c07132c53f32a16b96608d01a19e05d9d6168042e199ea69b093cd"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", LEF_CHECK_DIGESTS)
+def test_lef_check_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "lef", "check", *argv)
+    assert code == 0
+    lines = []
+    for line in out.splitlines():
+        record = json.loads(line)
+        del record["wall_time"]
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
+def test_suite_repro_carries_the_factors_and_budget(capsys):
+    argv = ("suite", "selftest", "--left", '{"type":"lattice","d":2}', "--budget", "7")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    line = out.strip().splitlines()[0]
+    repro = line.split("repro:", 1)[1].strip()
+    assert "--left" in repro and "--budget 7" in repro and "--right" not in repro
+    code2, out2, _ = run_cli(capsys, *shlex.split(repro)[1:])
+    assert code2 == 1
+    assert out2.strip() == line
+
+
+def test_suite_repro_takes_the_budget_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("PV_BUDGET", "3")
+    code, out, _ = run_cli(capsys, "suite", "selftest")
+    assert code == 1
+    assert out.strip().endswith(
+        "repro: gluedprod suite selftest --seed 42 --only always-fails --budget 3")
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_mixed_multiplicativity_samples_over_the_pair_budget(capsys, order):
+    check = f"mixed-z{order}-multiplicativity"
+    code, out, _ = run_cli(capsys, "suite", "lef", "--seed", "5", "--only", check,
+                           "--left", '{"type":"lattice","d":2}')
+    assert (code, out) == (0, f"ok   lef.{check}  10000 checks\n")

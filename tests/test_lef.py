@@ -335,3 +335,71 @@ def test_check_counts_are_pinned(setup):
         ("equivariance", equivariance, 0),
         ("pushforward", pushforward, 0),
     ]
+
+
+def _eager_multiplicativity(approx: Approximation, mode: str, sample: int, seed: int
+                            ) -> tuple[int, list[str]]:
+    """The multiplicativity report computed the direct way: phi of all of
+    F_n first, then the pairs (every pair, or ``sample`` seeded draws)."""
+    ctx = approx.ctx
+    elements = window_elements(ctx, approx.n)
+    phis = [approx.phi(s) for s in elements]
+    count = len(elements)
+    if mode == "exhaustive":
+        pairs = [(i, j) for i in range(count) for j in range(count)]
+    else:
+        rng = Random(seed)
+        pairs = [(rng.randrange(count), rng.randrange(count)) for _ in range(sample)]
+    failures = []
+    for i, j in pairs:
+        s1, s2 = elements[i], elements[j]
+        if approx.phi(ctx.multiply(s1, s2)) != compose_dense(phis[i], phis[j]):
+            failures.append(f"{ctx.format_element(s1)} | {ctx.format_element(s2)}")
+    return len(pairs), failures
+
+
+def test_sampled_multiplicativity_maps_only_the_drawn_elements(monkeypatch):
+    """A sample of k pairs maps at most 3k elements through phi (each
+    product and its two factors), not all 37,800 elements of F_1."""
+    ctx = PvContext(LatticeGroup(2), IntegersGroup())
+    calls = 0
+    original = Approximation.phi
+
+    def counting(self, s):
+        nonlocal calls
+        calls += 1
+        return original(self, s)
+
+    monkeypatch.setattr(Approximation, "phi", counting)
+    for seed in (0, 1, 2):
+        calls = 0
+        approx = Approximation(ctx, 1, modulus=9)
+        report = approx.check_multiplicativity(mode="sample", sample=100, seed=seed)
+        assert report.ok and report.pairs_checked == 100
+        assert 100 < calls <= 300
+
+
+@pytest.mark.parametrize("setup", sorted(PINNED_SETUPS))
+def test_lazy_multiplicativity_matches_the_eager_reference(setup):
+    make, modulus, _ = PINNED_SETUPS[setup]
+    approx = Approximation(make(), 1, modulus=modulus)
+    report = approx.check_multiplicativity(mode="sample", sample=300, seed=3)
+    assert (report.pairs_checked, report.failures) == \
+        _eager_multiplicativity(approx, "sample", 300, 3)
+
+
+def test_lazy_multiplicativity_matches_the_eager_reference_exhaustively():
+    approx = Approximation(PvContext(IntegersGroup(), CyclicGroup(2)), 1)
+    report = approx.check_multiplicativity(mode="exhaustive")
+    assert (report.pairs_checked, report.failures) == \
+        _eager_multiplicativity(approx, "exhaustive", 0, 0)
+
+
+def test_lazy_multiplicativity_reports_the_eager_failures_in_order(zz_fast, monkeypatch):
+    approx = Approximation(zz_fast, 1, modulus=17)
+    monkeypatch.setattr(approx, "pushforward",
+                        lambda a: identity_dense(len(approx.target.points)))
+    report = approx.check_multiplicativity(mode="sample", sample=200, seed=3)
+    expected = _eager_multiplicativity(approx, "sample", 200, 3)
+    assert 0 < len(expected[1]) < 200
+    assert (report.pairs_checked, report.failures) == expected

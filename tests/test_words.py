@@ -144,8 +144,9 @@ def test_word_evaluation_is_linear_in_length(monkeypatch):
     ctx.normalize(word)
     assert calls["multiply"] == length
     assert calls["apply_factor"] <= 8 * length
-    # each transported support point is translated once, not once per side of the pair
-    assert calls["apply_factor"] == 191
+    # each transported support point is translated once, not once per side
+    # of the pair, and never by a factor part of the other side, which fixes it
+    assert calls["apply_factor"] == 109
     # identity parts cost no group operation: 211 factor muls for 128
     # products (426 when every product multiplied and inverted all parts)
     assert calls["mul"] <= 1.65 * calls["multiply"]
