@@ -131,7 +131,15 @@ class Window:
     h_ball: tuple[Element, ...]
     h_trivial: bool  # h = e on all of F_n: not bounded by length, not drawn
     even: bool  # residuals are even
-    size: int  # |F_n|
+    residuals: int  # the number of residuals
+    # the residuals that follow each choice of an image, for every point
+    # but the last two, whose images the parity or the last digit fixes
+    blocks: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        """|F_n|."""
+        return len(self.g_ball) * len(self.h_ball) * self.residuals
 
 
 @functools.lru_cache(maxsize=128)
@@ -146,9 +154,13 @@ def window(ctx: PvContext, n: int) -> Window:
     points = ((BASE,) + side_points(ctx.G, "g", n)
               + side_points(ctx.H, "h", None if h_trivial else n))
     even = not ctx.mixed_symmetric
-    residuals = math.factorial(len(points)) // (2 if even and len(points) > 1 else 1)
+    halve = 2 if even else 1
+    c = len(points)
+    # with m points left, each image leaves (m - 1)! completions, half of them even
+    blocks = tuple(math.factorial(m - 1) // halve for m in range(c, 2, -1))
+    residuals = math.factorial(c) // (halve if c > 1 else 1)
     return Window(points, frozenset(points), tuple(g_ball), tuple(h_ball), h_trivial,
-                  even, len(g_ball) * len(h_ball) * residuals)
+                  even, residuals, blocks)
 
 
 def window_points(ctx: PvContext, n: int) -> frozenset[Point]:
@@ -177,6 +189,37 @@ def window_elements(ctx: PvContext, n: int) -> list[PvElement]:
         if not w.even or perm.is_even():
             perms.append(perm)
     return [PvElement(g, h, a) for g in w.g_ball for h in w.h_ball for a in perms]
+
+
+def window_element(ctx: PvContext, n: int, k: int) -> PvElement:
+    """``window_elements(ctx, n)[k]``, decoded without building F_n.
+
+    k is mixed radix over the g ball, the h ball and the residuals; the
+    residual is the k-th permutation of C_n (the k-th even one when the
+    window is even) in ``itertools.permutations`` order, unranked from
+    its Lehmer code (Knuth, TAOCP 4A, 7.2.1.2).  Its parity is the parity
+    of the digit sum, so it is set, not counted.
+    """
+    w = window(ctx, n)
+    if not 0 <= k < w.size:
+        raise MembershipError(f"position {k} is outside F_{n}, which has {w.size} elements")
+    gh, r = divmod(k, w.residuals)
+    g, h = divmod(gh, len(w.h_ball))
+    left = list(w.points)
+    images = []
+    odd = 0
+    for block in w.blocks:
+        d, r = divmod(r, block)
+        odd ^= d & 1
+        images.append(left.pop(d))
+    # the digit with two points left: r in a symmetric window, forced even otherwise
+    last = odd if w.even else r
+    if last:
+        left.reverse()
+    images += left
+    perm = FinPerm._trusted({p: q for p, q in zip(w.points, images) if p != q})
+    perm._even = odd == last
+    return PvElement(w.g_ball[g], w.h_ball[h], perm)
 
 
 def random_window_element(ctx: PvContext, n: int, rng: Random) -> PvElement:
@@ -253,6 +296,9 @@ class Approximation:
         self._translations: dict[tuple[str, Element], DensePerm] = {}
         self._outers: dict[tuple[Element, Element], DensePerm] = {}
         self._point_images: dict[Point, int] = {}
+        # elements of F_n decoded by sample mode, by position: the pair
+        # checks draw the same positions for the same seed
+        self._decoded: dict[int, PvElement] = {}
 
     # -- the map itself -------------------------------------------------
 
@@ -300,18 +346,29 @@ class Approximation:
     # -- harnesses -------------------------------------------------------
 
     def _window_pairs(self, mode: str, sample: int, seed: int, budget: int
-                      ) -> tuple[list[PvElement], Iterator[tuple[int, int]]]:
-        """F_n and pairs of positions in it: all of them, or ``sample`` seeded draws."""
-        count = window(self.ctx, self.n).size
+                      ) -> tuple[Callable[[int], PvElement], Iterator[tuple[int, int]]]:
+        """The element at each position of F_n, and pairs of positions: all
+        of them from the enumerated F_n, or ``sample`` seeded draws, each
+        decoded once per approximation."""
+        ctx, n = self.ctx, self.n
+        count = window(ctx, n).size
         if mode == "exhaustive":
             if count * count > budget:
                 raise BudgetError(
                     f"{count * count} pairs exceed the budget of {budget}"
                 )
-            return window_elements(self.ctx, self.n), itertools.product(range(count), repeat=2)
+            return window_elements(ctx, n).__getitem__, itertools.product(range(count), repeat=2)
         if mode == "sample":
             rng = Random(seed)
-            return window_elements(self.ctx, self.n), (
+            decoded = self._decoded
+
+            def element_at(k: int) -> PvElement:
+                s = decoded.get(k)
+                if s is None:
+                    s = decoded[k] = window_element(ctx, n, k)
+                return s
+
+            return element_at, (
                 (rng.randrange(count), rng.randrange(count)) for _ in range(min(sample, budget)))
         raise GroupSpecError(f"unknown mode {mode!r}")
 
@@ -325,32 +382,33 @@ class Approximation:
         """phi(s1 s2) = phi(s1) phi(s2) over pairs of F_n.
 
         phi of a window element is computed the first time a pair uses
-        its position, so a sample costs O(sample) maps, not O(|F_n|).
+        its position, so a sample costs O(sample) maps and decodes, not
+        O(|F_n|).
         """
-        elements, pairs = self._window_pairs(mode, sample, seed, budget)
+        element_at, pairs = self._window_pairs(mode, sample, seed, budget)
         phis: dict[int, DensePerm] = {}
 
         def phi_at(i: int) -> DensePerm:
             image = phis.get(i)
             if image is None:
-                image = phis[i] = self.phi(elements[i])
+                image = phis[i] = self.phi(element_at(i))
             return image
 
         for i, j in pairs:
-            prod = self.ctx.multiply(elements[i], elements[j])
-            holds = self.phi(prod) == compose_dense(phi_at(i), phi_at(j))
-            yield None if holds else self._pair_label(elements[i], elements[j])
+            s1, s2 = element_at(i), element_at(j)
+            holds = self.phi(self.ctx.multiply(s1, s2)) == compose_dense(phi_at(i), phi_at(j))
+            yield None if holds else self._pair_label(s1, s2)
 
     @_check("window-closure")
     def check_window_closure(self, mode: str = "exhaustive",
                              sample: int = 10**5, seed: int = 0,
                              budget: int = DEFAULT_PAIR_BUDGET):
         """Products of F_n land in F_2n."""
-        elements, pairs = self._window_pairs(mode, sample, seed, budget)
+        element_at, pairs = self._window_pairs(mode, sample, seed, budget)
         for i, j in pairs:
-            prod = self.ctx.multiply(elements[i], elements[j])
-            inside = in_window(self.ctx, prod, 2 * self.n)
-            yield None if inside else self._pair_label(elements[i], elements[j])
+            s1, s2 = element_at(i), element_at(j)
+            inside = in_window(self.ctx, self.ctx.multiply(s1, s2), 2 * self.n)
+            yield None if inside else self._pair_label(s1, s2)
 
     @_check("injectivity")
     def check_injectivity(self, samples: int = 10**5, seed: int = 0,

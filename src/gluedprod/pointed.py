@@ -232,6 +232,7 @@ def random_perm(points: Sequence[Point], rng: Random, even: bool) -> FinPerm:
     if even and not perm.is_even():
         images[0], images[1] = images[1], images[0]
         perm = FinPerm(dict(zip(points, images)))
+        perm._even = True  # one swap away from an odd shuffle
     return perm
 
 

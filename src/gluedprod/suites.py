@@ -361,8 +361,9 @@ for _name, _report in (
 
 
 def _mixed_multiplicativity(a: lef.Approximation, cfg: SuiteConfig) -> lef.CheckReport:
-    """Every pair of F_n when they fit the pair budget, else seeded draws."""
-    if lef.window(a.ctx, a.n).size ** 2 <= lef.DEFAULT_PAIR_BUDGET:
+    """Every pair of F_n when they fit the pair budget, capped by the case
+    budget, else seeded draws."""
+    if lef.window(a.ctx, a.n).size ** 2 <= cfg.cap(lef.DEFAULT_PAIR_BUDGET):
         return a.check_multiplicativity(mode="exhaustive", seed=cfg.seed)
     return a.check_multiplicativity(mode="sample", sample=cfg.cap(10**4), seed=cfg.seed)
 
@@ -370,7 +371,7 @@ def _mixed_multiplicativity(a: lef.Approximation, cfg: SuiteConfig) -> lef.Check
 for _order in (2, 3):
     _lef_check(f"mixed-z{_order}-multiplicativity", _mixed(_order), _mixed_multiplicativity)
     _lef_check(f"mixed-z{_order}-injectivity", _mixed(_order),
-               lambda a, cfg: a.check_injectivity(samples=10**4, seed=cfg.seed))
+               lambda a, cfg: a.check_injectivity(samples=cfg.cap(10**4), seed=cfg.seed))
 
 
 # ----------------------------------------------------------------------

@@ -361,3 +361,62 @@ def test_mixed_multiplicativity_samples_over_the_pair_budget(capsys, order):
     code, out, _ = run_cli(capsys, "suite", "lef", "--seed", "5", "--only", check,
                            "--left", '{"type":"lattice","d":2}')
     assert (code, out) == (0, f"ok   lef.{check}  10000 checks\n")
+
+
+@pytest.mark.parametrize("from_env", [False, True])
+def test_mixed_checks_honour_the_case_budget(capsys, monkeypatch, from_env):
+    monkeypatch.delenv("PV_BUDGET", raising=False)
+    if from_env:
+        monkeypatch.setenv("PV_BUDGET", "50")
+    code, out, _ = run_cli(capsys, "suite", "lef", *(() if from_env else ("--budget", "50")))
+    mixed = [line for line in out.splitlines() if "lef.mixed-" in line]
+    assert code == 0 and len(mixed) == 4
+    assert all(line.endswith("  50 checks") for line in mixed)
+
+
+def test_mixed_checks_without_a_budget_walk_every_pair(capsys, monkeypatch):
+    monkeypatch.delenv("PV_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, "suite", "lef")
+    mixed = [line.split()[1:] for line in out.splitlines() if "lef.mixed-" in line]
+    assert (code, mixed) == (0, [
+        ["lef.mixed-z2-multiplicativity", "5184", "checks"],
+        ["lef.mixed-z2-injectivity", "10000", "checks"],
+        ["lef.mixed-z3-multiplicativity", "32400", "checks"],
+        ["lef.mixed-z3-injectivity", "10000", "checks"],
+    ])
+
+
+# SHA-256 of `PV_BUDGET=300 gluedprod suite lef --seed 5` on two lattice
+# factors, recorded when sample mode still built all 4,536,000 elements of
+# F_1, over every line but the two mixed injectivity ones, which then drew
+# 10^4 samples whatever the budget
+LATTICE_SUITE_DIGEST = "ceafd80f3142d7f61b6d1bd7b6d0401497a659a3d10de712adff2fe4f1b628e9"
+
+
+def test_lattice_suite_decodes_its_samples(capsys, monkeypatch):
+    from gluedprod import lef
+
+    def refuse(ctx, n):
+        raise AssertionError("sample mode enumerated F_n")
+
+    monkeypatch.setattr(lef, "window_elements", refuse)
+    monkeypatch.setenv("PV_BUDGET", "300")
+    lattice = '{"type":"lattice","d":2}'
+    code, out, _ = run_cli(capsys, "suite", "lef", "--seed", "5",
+                           "--left", lattice, "--right", lattice)
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    injectivity = [line for line in lines if "-injectivity" in line and "mixed" in line]
+    assert injectivity == ["ok   lef.mixed-z2-injectivity  300 checks\n",
+                           "ok   lef.mixed-z3-injectivity  300 checks\n"]
+    rest = [line for line in lines if line not in injectivity]
+    assert hashlib.sha256("".join(rest).encode()).hexdigest() == LATTICE_SUITE_DIGEST
+
+
+@pytest.mark.parametrize("factors", [(), ("--left", '{"type":"lattice","d":2}')])
+def test_lef_check_samples_the_radius_two_window(capsys, factors):
+    code, out, _ = run_cli(capsys, "lef", "check", "-n", "2", "--mode", "sample:200", *factors)
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert [(r["name"], r["pairs_checked"], r["failures"]) for r in reports] == [
+        ("multiplicativity", 200, []), ("window-closure", 200, []), ("injectivity", 200, [])]

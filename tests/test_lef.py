@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from random import Random
 
@@ -11,6 +12,8 @@ from gluedprod import (
     BASE,
     BudgetError,
     CyclicGroup,
+    FinPerm,
+    GluedError,
     GroupSpecError,
     IntegersGroup,
     LatticeGroup,
@@ -31,6 +34,7 @@ from gluedprod.lef import (
     lef_mixed,
     random_window_element,
     window,
+    window_element,
     window_elements,
     window_points,
 )
@@ -96,6 +100,47 @@ def test_window_size_is_known_before_enumeration(zz_fast):
     # the pair budget refuses F_2 x F_2 without building F_2
     with pytest.raises(BudgetError):
         Approximation(zz_fast, 2).check_multiplicativity(mode="exhaustive")
+
+
+DECODE_SETUPS = {
+    "ZxZ": (lambda: PvContext(IntegersGroup(), IntegersGroup()), 540, True),
+    "ZxZ/3": (lambda: PvContext(IntegersGroup(), CyclicGroup(3)), 180, True),
+    "ZxZ/2": (lambda: PvContext(IntegersGroup(), CyclicGroup(2)), 72, False),
+    "Z2xZ": (lambda: PvContext(LatticeGroup(2), IntegersGroup()), 37800, True),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(DECODE_SETUPS))
+def test_window_element_decodes_the_enumeration(setup):
+    """Every position of F_1 decodes to the enumerated element there,
+    odd residuals included where the window is symmetric."""
+    make, size, even = DECODE_SETUPS[setup]
+    ctx = make()
+    elements = window_elements(ctx, 1)
+    assert (len(elements), window(ctx, 1).size, window(ctx, 1).even) == (size, size, even)
+    assert [window_element(ctx, 1, k) for k in range(size)] == elements
+    for k in (-1, size, size + 7):
+        with pytest.raises(GluedError):
+            window_element(ctx, 1, k)
+
+
+def test_window_element_decodes_the_radius_two_residuals(zz_fast):
+    """At n = 2 the residuals of each (g, h) block run through the even
+    permutations of C_2 in itertools order, and F_2 ends on the reversal
+    of C_2 (36 inversions, so even)."""
+    w = window(zz_fast, 2)
+    assert w.residuals == math.factorial(9) // 2 and w.size == 25 * w.residuals
+    even = (images for images in itertools.permutations(w.points)
+            if FinPerm(dict(zip(w.points, images))).is_even())
+    for k, images in zip(range(3000), even):
+        for base in (0, w.size - w.residuals):
+            s = window_element(zz_fast, 2, base + k)
+            assert s.a == FinPerm(dict(zip(w.points, images)))
+    assert window_element(zz_fast, 2, w.size - 1) == PvElement(
+        w.g_ball[-1], w.h_ball[-1], FinPerm(dict(zip(w.points, w.points[::-1]))))
+    rng = Random(2)
+    for _ in range(200):
+        assert in_window(zz_fast, window_element(zz_fast, 2, rng.randrange(w.size)), 2)
 
 
 def test_phi_on_generators(zz_fast):
@@ -403,3 +448,31 @@ def test_lazy_multiplicativity_reports_the_eager_failures_in_order(zz_fast, monk
     expected = _eager_multiplicativity(approx, "sample", 200, 3)
     assert 0 < len(expected[1]) < 200
     assert (report.pairs_checked, report.failures) == expected
+
+
+def test_sample_mode_decodes_each_drawn_position_once(monkeypatch):
+    """Both pair checks in sample mode decode the drawn positions of F_1,
+    each once between them, and never build F_1 (4,536,000 elements for
+    two lattice factors)."""
+    def refuse(ctx, n):
+        raise AssertionError("sample mode enumerated F_n")
+
+    decoded = []
+    original = lef_module.window_element
+
+    def counting(ctx, n, k):
+        decoded.append(k)
+        return original(ctx, n, k)
+
+    monkeypatch.setattr(lef_module, "window_elements", refuse)
+    monkeypatch.setattr(lef_module, "window_element", counting)
+    ctx = PvContext(LatticeGroup(2), LatticeGroup(2))
+    assert window(ctx, 1).size == 25 * math.factorial(9) // 2
+    approx = Approximation(ctx, 1)
+    mult = approx.check_multiplicativity(mode="sample", sample=300, seed=5)
+    drawn = len(decoded)
+    closure = approx.check_window_closure(mode="sample", sample=300, seed=5)
+    assert (mult.ok, mult.pairs_checked, closure.ok, closure.pairs_checked) == \
+        (True, 300, True, 300)
+    assert 300 < drawn <= 600
+    assert len(decoded) == len(set(decoded)) == drawn

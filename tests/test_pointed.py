@@ -15,10 +15,13 @@ from gluedprod import (
     IntegersGroup,
     Point,
     PointedUnion,
+    PvContext,
     WordParseError,
     three_cycle,
     transposition,
 )
+from gluedprod.lef import window, window_element
+from gluedprod.pointed import random_perm
 from gluedprod.sampling import points as random_points
 
 
@@ -192,6 +195,11 @@ def parity_from_cycles(moved: dict) -> bool:
     return (len(moved) - cycles) % 2 == 0
 
 
+# windows with even (Z x Z, 9 points at n = 2) and with odd residuals (Z x Z/2, 6 points)
+WINDOW_CONTEXTS = [PvContext(IntegersGroup(), IntegersGroup()),
+                   PvContext(IntegersGroup(), CyclicGroup(2))]
+
+
 @pytest.mark.parametrize("shape", ["left-larger", "right-larger",
                                    "left-identity", "right-identity"])
 @settings(max_examples=100, deadline=None)
@@ -199,13 +207,25 @@ def parity_from_cycles(moved: dict) -> bool:
 def test_cached_parity_matches_the_cycle_count(shape, data):
     """The parity stored on first use belongs to its own object: products
     (including an operand returned by the identity shortcut), inverses, the
-    identity and trusted perms all report their own cycle parity, twice."""
+    identity and trusted perms all report their own cycle parity, twice.
+    So does the parity set at construction on decoded window residuals
+    and on even shuffles, and a product of those carries none until asked."""
     a, b = data.draw(compose_operands(shape))
     if data.draw(st.booleans()):
         a.is_even(), b.is_even()  # warm the operands' caches first
     c = a.compose(b)
+    ctx = data.draw(st.sampled_from(WINDOW_CONTEXTS))
+    decoded = window_element(ctx, 2, data.draw(
+        st.integers(min_value=0, max_value=window(ctx, 2).size - 1))).a
+    even = data.draw(st.booleans())
+    shuffled = random_perm(data.draw(st.lists(st.sampled_from(POOL), unique=True, min_size=1)),
+                           Random(data.draw(st.integers())), even)
+    for x in (decoded, shuffled) if even else (decoded,):
+        assert x._even is not None and x._even == parity_from_cycles(x.moved)
+    known = decoded.compose(shuffled)
+    assert known._even is None or known is decoded or known is shuffled
     for x in (c, a, b, a.inverse(), c.inverse(), FinPerm.identity(),
-              FinPerm._trusted(c.moved), FinPerm(b.moved)):
+              FinPerm._trusted(c.moved), FinPerm(b.moved), known, known.compose(a)):
         first = x.is_even()
         assert x.is_even() == first == parity_from_cycles(x.moved)
 
