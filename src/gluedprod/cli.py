@@ -118,11 +118,8 @@ def cmd_lef(args) -> int:
     elif args.mode != "exhaustive":
         raise GluedError(f"bad mode {args.mode!r}; use exhaustive or sample:K with K >= 1")
     approx = lef.Approximation(ctx, args.n, modulus=args.modulus)
-    reports = [
-        approx.check_multiplicativity(mode=mode, sample=sample, seed=args.seed),
-        approx.check_window_closure(mode=mode, sample=sample, seed=args.seed),
-        approx.check_injectivity(samples=min(sample, 10**5), seed=args.seed),
-    ]
+    reports = approx.check_pairs(mode=mode, sample=sample, seed=args.seed)
+    reports.append(approx.check_injectivity(samples=min(sample, 10**5), seed=args.seed))
     failures = 0
     for report in reports:
         print(json.dumps(report.to_json(), sort_keys=True))

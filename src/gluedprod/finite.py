@@ -49,9 +49,8 @@ def realize_finite(G: GroupHandle, H: GroupHandle,
     else:
         gen_g = [G.parse(x) for x in generators[0]]
         gen_h = [H.parse(y) for y in generators[1]]
-    out = [union.dense(union.translation("g", x)) for x in gen_g]
-    out += [union.dense(union.translation("h", y)) for y in gen_h]
-    return out
+    return ([union.dense_translation("g", x) for x in gen_g]
+            + [union.dense_translation("h", y) for y in gen_h])
 
 
 def translation_sign(G: GroupHandle, g: str) -> int:

@@ -35,7 +35,8 @@ from .groups import (
 )
 from .pointed import BASE, FinPerm, Point, PointedUnion, random_perm, side_points
 
-DEFAULT_PAIR_BUDGET = 10**7
+PAIR_BUDGET = 10**7  # the most pairs, draws or residuals one check walks
+PAIR_CHECKS = ("multiplicativity", "window-closure")
 
 
 @dataclass
@@ -293,12 +294,10 @@ class Approximation:
                     f"quotient injectivity radius {q.injectivity_radius} < 4n = {4 * n}"
                 )
         self.target = PointedUnion(self.qg.target, self.qh.target)
-        self._translations: dict[tuple[str, Element], DensePerm] = {}
         self._outers: dict[tuple[Element, Element], DensePerm] = {}
         self._point_images: dict[Point, int] = {}
-        # elements of F_n decoded by sample mode, by position: the pair
-        # checks draw the same positions for the same seed
-        self._decoded: dict[int, PvElement] = {}
+        # the element at each position of F_n, decoded once per approximation
+        self._element = functools.cache(lambda k: window_element(ctx, n, k))
 
     # -- the map itself -------------------------------------------------
 
@@ -311,31 +310,26 @@ class Approximation:
             image = self._point_images[p] = self.target.index[projected]
         return image
 
-    def _translation(self, side: str, x: Element) -> DensePerm:
-        cached = self._translations.get((side, x))
-        if cached is None:
-            cached = self.target.dense(self.target.translation(side, x))
-            self._translations[side, x] = cached
-        return cached
-
     def pushforward(self, a: FinPerm) -> DensePerm:
         images = list(range(len(self.target.index)))
         for p, q in a.items():
             images[self.point_image(p)] = self.point_image(q)
         return tuple(images)
 
-    def phi_parts(self, s: PvElement) -> tuple[Element, Element, DensePerm]:
-        if not in_window(self.ctx, s, 2 * self.n):
-            raise MembershipError(f"element outside the window F_{2 * self.n}")
-        return (self.qg.proj(s.g), self.qh.proj(s.h), self.pushforward(s.a))
-
     def phi(self, s: PvElement) -> DensePerm:
         """T_g o T_h o pushforward(a), with the outer translation T_g o T_h
         cached per quotient pair: only the residual's support is patched."""
-        gn, hn, pa = self.phi_parts(s)
+        if not in_window(self.ctx, s, 2 * self.n):
+            raise MembershipError(f"element outside the window F_{2 * self.n}")
+        return self._image(s)
+
+    def _image(self, s: PvElement) -> DensePerm:
+        """phi of an element already known to lie in F_2n."""
+        gn, hn, pa = self.qg.proj(s.g), self.qh.proj(s.h), self.pushforward(s.a)
         outer = self._outers.get((gn, hn))
         if outer is None:
-            outer = compose_dense(self._translation("g", gn), self._translation("h", hn))
+            outer = compose_dense(self.target.dense_translation("g", gn),
+                                  self.target.dense_translation("h", hn))
             self._outers[gn, hn] = outer
         images = list(outer)
         for p, _ in s.a.items():
@@ -345,77 +339,74 @@ class Approximation:
 
     # -- harnesses -------------------------------------------------------
 
-    def _window_pairs(self, mode: str, sample: int, seed: int, budget: int
-                      ) -> tuple[Callable[[int], PvElement], Iterator[tuple[int, int]]]:
-        """The element at each position of F_n, and pairs of positions: all
-        of them from the enumerated F_n, or ``sample`` seeded draws, each
-        decoded once per approximation."""
-        ctx, n = self.ctx, self.n
-        count = window(ctx, n).size
+    def _window_pairs(self, mode: str, sample: int, seed: int) -> Iterator[tuple[int, int]]:
+        """Pairs of positions in F_n: all of them, or ``sample`` seeded draws."""
+        count = window(self.ctx, self.n).size
         if mode == "exhaustive":
-            if count * count > budget:
-                raise BudgetError(
-                    f"{count * count} pairs exceed the budget of {budget}"
-                )
-            return window_elements(ctx, n).__getitem__, itertools.product(range(count), repeat=2)
+            if count * count > PAIR_BUDGET:
+                raise BudgetError(f"{count * count} pairs exceed the budget of {PAIR_BUDGET}")
+            return itertools.product(range(count), repeat=2)
         if mode == "sample":
             rng = Random(seed)
-            decoded = self._decoded
-
-            def element_at(k: int) -> PvElement:
-                s = decoded.get(k)
-                if s is None:
-                    s = decoded[k] = window_element(ctx, n, k)
-                return s
-
-            return element_at, (
-                (rng.randrange(count), rng.randrange(count)) for _ in range(min(sample, budget)))
+            return ((rng.randrange(count), rng.randrange(count))
+                    for _ in range(min(sample, PAIR_BUDGET)))
         raise GroupSpecError(f"unknown mode {mode!r}")
 
     def _pair_label(self, s1: PvElement, s2: PvElement) -> str:
         return f"{self.ctx.format_element(s1)} | {self.ctx.format_element(s2)}"
 
-    @_check("multiplicativity")
-    def check_multiplicativity(self, mode: str = "exhaustive",
-                               sample: int = 10**5, seed: int = 0,
-                               budget: int = DEFAULT_PAIR_BUDGET):
-        """phi(s1 s2) = phi(s1) phi(s2) over pairs of F_n.
+    def check_pairs(self, checks: tuple[str, ...] = PAIR_CHECKS, mode: str = "exhaustive",
+                    sample: int = 10**5, seed: int = 0) -> list[CheckReport]:
+        """Window closure (products of F_n land in F_2n) and multiplicativity
+        (phi(s1 s2) = phi(s1) phi(s2)) in one walk over pairs of F_n.
 
-        phi of a window element is computed the first time a pair uses
-        its position, so a sample costs O(sample) maps and decodes, not
-        O(|F_n|).
+        Each pair is multiplied once for all the checks asked for, and the
+        reports share one wall time.  phi is not defined outside F_2n, so
+        a product there fails both checks; window closure alone never
+        calls phi.  phi of a window element is computed the first time a
+        pair uses its position, so a sample costs O(sample) maps and
+        decodes, not O(|F_n|).
         """
-        element_at, pairs = self._window_pairs(mode, sample, seed, budget)
-        phis: dict[int, DensePerm] = {}
-
-        def phi_at(i: int) -> DensePerm:
-            image = phis.get(i)
-            if image is None:
-                image = phis[i] = self.phi(element_at(i))
-            return image
-
-        for i, j in pairs:
+        start = time.perf_counter()
+        unknown = set(checks) - set(PAIR_CHECKS)
+        if unknown:
+            raise GroupSpecError(f"unknown pair checks {sorted(unknown)}")
+        ctx, element_at = self.ctx, self._element
+        multiplicativity = "multiplicativity" in checks
+        phi_at = functools.cache(lambda i: self.phi(element_at(i)))
+        checked = 0
+        failures: dict[str, list[str]] = {name: [] for name in checks}
+        for i, j in self._window_pairs(mode, sample, seed):
+            checked += 1
             s1, s2 = element_at(i), element_at(j)
-            holds = self.phi(self.ctx.multiply(s1, s2)) == compose_dense(phi_at(i), phi_at(j))
-            yield None if holds else self._pair_label(s1, s2)
+            product = ctx.multiply(s1, s2)
+            inside = in_window(ctx, product, 2 * self.n)
+            if inside and (not multiplicativity
+                           or self._image(product) == compose_dense(phi_at(i), phi_at(j))):
+                continue
+            # outside F_2n fails every check; a wrong image fails multiplicativity
+            label = self._pair_label(s1, s2)
+            for name, failed in failures.items():
+                if not inside or name == "multiplicativity":
+                    failed.append(label)
+        elapsed = time.perf_counter() - start
+        return [CheckReport(name, checked, failures[name], elapsed) for name in checks]
 
-    @_check("window-closure")
-    def check_window_closure(self, mode: str = "exhaustive",
-                             sample: int = 10**5, seed: int = 0,
-                             budget: int = DEFAULT_PAIR_BUDGET):
+    def check_multiplicativity(self, mode: str = "exhaustive", sample: int = 10**5,
+                               seed: int = 0) -> CheckReport:
+        """phi(s1 s2) = phi(s1) phi(s2) over pairs of F_n."""
+        return self.check_pairs(("multiplicativity",), mode, sample, seed)[0]
+
+    def check_window_closure(self, mode: str = "exhaustive", sample: int = 10**5,
+                             seed: int = 0) -> CheckReport:
         """Products of F_n land in F_2n."""
-        element_at, pairs = self._window_pairs(mode, sample, seed, budget)
-        for i, j in pairs:
-            s1, s2 = element_at(i), element_at(j)
-            inside = in_window(self.ctx, self.ctx.multiply(s1, s2), 2 * self.n)
-            yield None if inside else self._pair_label(s1, s2)
+        return self.check_pairs(("window-closure",), mode, sample, seed)[0]
 
     @_check("injectivity")
-    def check_injectivity(self, samples: int = 10**5, seed: int = 0,
-                          budget: int = DEFAULT_PAIR_BUDGET):
+    def check_injectivity(self, samples: int = 10**5, seed: int = 0):
         """Distinct sampled elements of F_2n have distinct images."""
         rng = Random(seed)
-        for _ in range(min(samples, budget)):
+        for _ in range(min(samples, PAIR_BUDGET)):
             s1 = s2 = None
             while s1 == s2:
                 s1 = random_window_element(self.ctx, 2 * self.n, rng)
@@ -455,7 +446,7 @@ class Approximation:
                 ball = [rng.choice(ball) for _ in range(max(1, sample // len(points)))]
             other_side = "h" if side == "g" else "g"
             for x in ball:
-                trans = self._translation(side, q.proj(x))
+                trans = self.target.dense_translation(side, q.proj(x))
                 for z in points:
                     if z.side == other_side and \
                             other_q.proj(z.payload) == other_q.target.identity:
@@ -467,8 +458,7 @@ class Approximation:
 
     @_check("pushforward")
     def check_pushforward(self, mode: str = "exhaustive",
-                          sample: int = 10**4, seed: int = 0,
-                          budget: int = DEFAULT_PAIR_BUDGET):
+                          sample: int = 10**4, seed: int = 0):
         """The pushforward acts as conjugation by the point projection.
 
         For every residual supported in C_2n and every y in C_4n, the
@@ -494,8 +484,8 @@ class Approximation:
 
         if mode == "exhaustive":
             total = math.factorial(c)
-            if total > budget:
-                raise BudgetError(f"{total} residuals exceed the budget of {budget}")
+            if total > PAIR_BUDGET:
+                raise BudgetError(f"{total} residuals exceed the budget of {PAIR_BUDGET}")
             residuals = itertools.permutations(range(c))
         else:
             residuals = shuffled()
@@ -503,15 +493,3 @@ class Approximation:
             if not w2.even or not parity_dense(sigma):
                 yield None if verify(sigma) else f"residual {sigma}"
 
-
-def lef_mixed(ctx: PvContext, n: int, mode: str = "exhaustive",
-              sample: int = 10**5, seed: int = 0,
-              modulus: Optional[int] = None) -> list[CheckReport]:
-    """Multiplicativity and injectivity reports for an infinite-by-finite product."""
-    if ctx.regime != MIXED:
-        raise GroupSpecError("lef_mixed expects an infinite-by-finite context")
-    approx = Approximation(ctx, n, modulus=modulus)
-    return [
-        approx.check_multiplicativity(mode=mode, sample=sample, seed=seed),
-        approx.check_injectivity(samples=min(sample, 10**4), seed=seed),
-    ]

@@ -14,7 +14,7 @@ from random import Random
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import WordParseError
-from .groups import DensePerm, Element, GroupHandle, format_value
+from .groups import DensePerm, Element, GroupHandle, format_value, parity_dense
 
 
 class Point(NamedTuple):
@@ -225,14 +225,18 @@ def side_points(handle: GroupHandle, side: str,
 
 def random_perm(points: Sequence[Point], rng: Random, even: bool) -> FinPerm:
     """A shuffle of ``points``; when ``even`` and the shuffle is odd, its
-    first two images are swapped."""
-    images = list(points)
-    rng.shuffle(images)
-    perm = FinPerm(dict(zip(points, images)))
-    if even and not perm.is_even():
-        images[0], images[1] = images[1], images[0]
-        perm = FinPerm(dict(zip(points, images)))
-        perm._even = True  # one swap away from an odd shuffle
+    first two images are swapped.
+
+    The positions are shuffled, so the parity is that of the index
+    permutation and no point cycle is counted.
+    """
+    order = list(range(len(points)))
+    rng.shuffle(order)
+    if even and parity_dense(order):
+        order[0], order[1] = order[1], order[0]
+    perm = FinPerm._trusted({points[i]: points[j] for i, j in enumerate(order) if i != j})
+    if even:
+        perm._even = True
     return perm
 
 
@@ -256,6 +260,7 @@ class PointedUnion:
         self.H = H
         self._sides = {"g": G, "h": H}
         self._translations: dict[tuple[str, Element], FinPerm] = {}
+        self._dense_translations: dict[tuple[str, Element], DensePerm] = {}
 
     def handle(self, side: str) -> GroupHandle:
         handle = self._sides.get(side)
@@ -310,6 +315,25 @@ class PointedUnion:
                 inv[q] = p
         cached = self._translations[side, x] = FinPerm._trusted(moved, inv)
         return cached
+
+    def dense_translation(self, side: str, x: Element) -> DensePerm:
+        """``dense(translation(side, x))`` of a finite union, built straight
+        from the positions of the side's elements and kept with the union."""
+        cached = self._dense_translations.get((side, x))
+        if cached is None:
+            mul, position = self.handle(side).mul, self._positions[side]
+            images = list(range(len(self.points)))
+            for y, i in position.items():
+                images[i] = position[mul(x, y)]
+            cached = self._dense_translations[side, x] = tuple(images)
+        return cached
+
+    @cached_property
+    def _positions(self) -> dict[str, dict[Element, int]]:
+        """The position in ``points`` of each element's point, per side."""
+        index = self.index
+        return {side: {y: index[self.point(side, y)] for y in handle.elements()}
+                for side, handle in self._sides.items()}
 
     @cached_property
     def points(self) -> tuple[Point, ...]:

@@ -363,7 +363,7 @@ for _name, _report in (
 def _mixed_multiplicativity(a: lef.Approximation, cfg: SuiteConfig) -> lef.CheckReport:
     """Every pair of F_n when they fit the pair budget, capped by the case
     budget, else seeded draws."""
-    if lef.window(a.ctx, a.n).size ** 2 <= cfg.cap(lef.DEFAULT_PAIR_BUDGET):
+    if lef.window(a.ctx, a.n).size ** 2 <= cfg.cap(lef.PAIR_BUDGET):
         return a.check_multiplicativity(mode="exhaustive", seed=cfg.seed)
     return a.check_multiplicativity(mode="sample", sample=cfg.cap(10**4), seed=cfg.seed)
 

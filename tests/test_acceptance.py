@@ -209,12 +209,16 @@ def test_c09_mixed_lef():
 
         sym_ctx = PvContext(IntegersGroup(), CyclicGroup(2))
         assert sym_ctx.mixed_symmetric
-        reports = lef.lef_mixed(sym_ctx, 1, mode="exhaustive")
+        approx = lef.Approximation(sym_ctx, 1)
+        reports = [approx.check_multiplicativity(mode="exhaustive"),
+                   approx.check_injectivity(samples=10**4)]
         assert reports[0].pairs_checked == 72 * 72
         assert all(r.failures == [] for r in reports)
         alt_ctx = PvContext(IntegersGroup(), CyclicGroup(3))
         assert not alt_ctx.mixed_symmetric
-        reports = lef.lef_mixed(alt_ctx, 1, mode="exhaustive")
+        approx = lef.Approximation(alt_ctx, 1)
+        reports = [approx.check_multiplicativity(mode="exhaustive"),
+                   approx.check_injectivity(samples=10**4)]
         assert reports[0].pairs_checked == 180 * 180
         assert all(r.failures == [] for r in reports)
 

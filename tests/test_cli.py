@@ -386,6 +386,36 @@ def test_mixed_checks_without_a_budget_walk_every_pair(capsys, monkeypatch):
     ])
 
 
+def test_lef_check_multiplies_each_pair_once(capsys, monkeypatch):
+    from gluedprod import PvContext
+
+    calls = 0
+    original = PvContext.multiply
+
+    def counting(self, s1, s2):
+        nonlocal calls
+        calls += 1
+        return original(self, s1, s2)
+
+    monkeypatch.setattr(PvContext, "multiply", counting)
+    code, out, _ = run_cli(capsys, "lef", "check", "-n", "1", "--modulus", "17",
+                           "--mode", "sample:200")
+    assert code == 0 and len(out.splitlines()) == 3
+    assert calls == 200
+
+
+# SHA-256 of `gluedprod suite all --seed 42 --format jsonl` without a case
+# budget, recorded before the two lef pair checks shared one walk
+SUITE_ALL_DIGEST = "9a8e15253caafca2415201bb527d3435b07c658aad05a1e2aa1d605ccfcc567e"
+
+
+def test_suite_all_output_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("PV_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, "suite", "all", "--seed", "42", "--format", "jsonl")
+    assert code == 0 and len(out.splitlines()) == 26
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_ALL_DIGEST
+
+
 # SHA-256 of `PV_BUDGET=300 gluedprod suite lef --seed 5` on two lattice
 # factors, recorded when sample mode still built all 4,536,000 elements of
 # F_1, over every line but the two mixed injectivity ones, which then drew

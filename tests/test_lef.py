@@ -7,6 +7,8 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gluedprod import (
     BASE,
@@ -31,7 +33,6 @@ from gluedprod.lef import (
     Approximation,
     build_quotient,
     in_window,
-    lef_mixed,
     random_window_element,
     window,
     window_element,
@@ -290,16 +291,18 @@ def test_mixed_window_and_conventions():
 
 
 def test_mixed_lef_exhaustive_z2():
-    ctx = PvContext(IntegersGroup(), CyclicGroup(2))
-    reports = lef_mixed(ctx, 1, mode="exhaustive", seed=1)
+    approx = Approximation(PvContext(IntegersGroup(), CyclicGroup(2)), 1)
+    reports = [approx.check_multiplicativity(mode="exhaustive", seed=1),
+               approx.check_injectivity(samples=10**4, seed=1)]
     assert all(r.ok for r in reports)
     mult = reports[0]
     assert mult.pairs_checked == 72 * 72
 
 
 def test_mixed_lef_exhaustive_z3():
-    ctx = PvContext(IntegersGroup(), CyclicGroup(3))
-    reports = lef_mixed(ctx, 1, mode="exhaustive", seed=1)
+    approx = Approximation(PvContext(IntegersGroup(), CyclicGroup(3)), 1)
+    reports = [approx.check_multiplicativity(mode="exhaustive", seed=1),
+               approx.check_injectivity(samples=10**4, seed=1)]
     assert all(r.ok for r in reports)
     assert reports[0].pairs_checked == 180 * 180
 
@@ -338,6 +341,62 @@ def test_failing_case_keeps_count_and_labels_the_pair(zz_fast, monkeypatch):
     for label in report.failures:
         left, right = label.split(" | ")
         assert left in window and right in window
+
+
+def test_products_outside_the_window_are_labelled_failures(zz_fast, monkeypatch):
+    """A product that leaves F_2n fails both pair checks with its pair's
+    label; phi is never asked to map it, so nothing raises."""
+    approx = Approximation(zz_fast, 1, modulus=17)
+    f1 = window_elements(zz_fast, 1)
+    rng = Random(3)
+    pairs = [(f1[rng.randrange(540)], f1[rng.randrange(540)]) for _ in range(50)]
+    expected = [f"{zz_fast.format_element(s1)} | {zz_fast.format_element(s2)}"
+                for k, (s1, s2) in enumerate(pairs) if k % 7 == 6]
+    far = zz_fast.from_g("5")  # moves any product of F_1 out of F_2
+    original = zz_fast.multiply
+    calls = 0
+
+    def leaking(s1, s2):
+        nonlocal calls
+        calls += 1
+        product = original(s1, s2)
+        return original(far, product) if calls % 7 == 0 else product
+
+    monkeypatch.setattr(zz_fast, "multiply", leaking)
+    mult = approx.check_multiplicativity(mode="sample", sample=50, seed=3)
+    assert (mult.pairs_checked, mult.failures) == (50, expected)
+    calls = 0
+    reports = approx.check_pairs(mode="sample", sample=50, seed=3)
+    assert calls == 50
+    assert [(r.name, r.pairs_checked, r.failures) for r in reports] == [
+        ("multiplicativity", 50, expected), ("window-closure", 50, expected)]
+    assert reports[0].wall_time == reports[1].wall_time
+
+
+def test_pair_checks_refuse_an_unknown_name(zz_fast):
+    with pytest.raises(GroupSpecError):
+        Approximation(zz_fast, 1, modulus=17).check_pairs(("injectivity",), mode="sample")
+
+
+# n = 2 approximations, each built once: the quotients must be injective on B_8
+RADIUS_TWO = {
+    "ZxZ": Approximation(PvContext(IntegersGroup(), IntegersGroup()), 2),
+    "Z2xZ": Approximation(PvContext(LatticeGroup(2), IntegersGroup()), 2),
+    "ZxZ/3": Approximation(PvContext(IntegersGroup(), CyclicGroup(3)), 2),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_phi_is_multiplicative_on_decoded_radius_two_pairs(data):
+    approx = RADIUS_TWO[data.draw(st.sampled_from(sorted(RADIUS_TWO)))]
+    ctx = approx.ctx
+    positions = st.integers(min_value=0, max_value=window(ctx, 2).size - 1)
+    s1 = window_element(ctx, 2, data.draw(positions))
+    s2 = window_element(ctx, 2, data.draw(positions))
+    product = ctx.multiply(s1, s2)
+    assert in_window(ctx, product, 4)
+    assert approx.phi(product) == compose_dense(approx.phi(s1), approx.phi(s2))
 
 
 def test_failing_pushforward_fails_its_own_check(zz_fast, monkeypatch):

@@ -101,6 +101,7 @@ def test_dense_translation_is_the_index_of_the_product():
                 target = union.point(side, handle.mul(x, y))
                 direct[union.index[union.point(side, y)]] = union.index[target]
             assert union.dense(union.translation(side, x)) == tuple(direct)
+            assert union.dense_translation(side, x) == tuple(direct)
 
 
 def test_realize_finite_rejects_an_infinite_factor_before_building(monkeypatch):
