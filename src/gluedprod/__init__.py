@@ -17,6 +17,7 @@ from .errors import (
 )
 from .groups import (
     CyclicGroup,
+    CyclicPowerGroup,
     FreeGroup,
     GroupHandle,
     IntegersGroup,
@@ -35,6 +36,7 @@ __all__ = [
     "BASE",
     "BudgetError",
     "CyclicGroup",
+    "CyclicPowerGroup",
     "FiberMismatchError",
     "FinPerm",
     "FreeGroup",

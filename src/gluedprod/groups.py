@@ -5,6 +5,8 @@ hashing run at C level:
 
 - ``integers``:   an ``int``, e.g. ``-3``
 - ``cyclic(n)``:  the residue ``0`` .. ``n-1``, an ``int``
+- ``cyclic(m)^d``: a ``tuple`` of ``d`` residues, e.g. ``(4, 0)``; the
+  finite quotients of ``lattice(d)``, not a spec kind
 - ``lattice(d)``: a ``tuple`` of ``d`` ints, e.g. ``(1, -2)``
 - ``free(rank)``: the reduced word, a ``str``; lowercase generators,
   uppercase inverses
@@ -180,6 +182,50 @@ class CyclicGroup(GroupHandle):
 
     def element_order(self, x):
         return self.n // gcd(self.n, x)
+
+
+class CyclicPowerGroup(GroupHandle):
+    """``(Z/m)^d``: tuples of ``d`` residues, multiplied componentwise mod ``m``.
+
+    Elements enumerate in base-m order, the index order of
+    ``direct_product_table`` over ``d`` copies of ``cyclic_table(m)``,
+    and no table is built.  It is the target of the lattice quotients
+    in ``lef``, not a spec kind, so it parses no text.
+    """
+
+    kind = "cyclic-power"
+
+    def __init__(self, m: int, d: int):
+        if not isinstance(m, int) or m < 1:
+            raise GroupSpecError(f"cyclic order must be a positive integer, got {m!r}")
+        if not isinstance(d, int) or d < 1:
+            raise GroupSpecError(f"power must be positive, got {d!r}")
+        self.m = m
+        self.d = d
+        self.identity = (0,) * d
+
+    def __repr__(self):
+        return f"cyclic({self.m})^{self.d}"
+
+    def order(self):
+        return self.m ** self.d
+
+    def mul(self, a, b):
+        m = self.m
+        return tuple([(x + y) % m for x, y in zip(a, b)])
+
+    def inv(self, a):
+        m = self.m
+        return tuple([-x % m for x in a])
+
+    def length(self, x):
+        return 0 if x == self.identity else 1
+
+    def sort_key(self, x):
+        return x
+
+    def enumerate_elements(self):
+        return itertools.product(range(self.m), repeat=self.d)
 
 
 class IntegersGroup(GroupHandle):

@@ -25,12 +25,11 @@ from .core import MIXED, PvContext, PvElement
 from .errors import BudgetError, GroupSpecError, MembershipError
 from .finite import DensePerm, compose_dense, parity_dense
 from .groups import (
+    DEFAULT_BALL_CAP,
     CyclicGroup,
+    CyclicPowerGroup,
     Element,
     GroupHandle,
-    TableGroup,
-    cyclic_table,
-    direct_product_table,
     format_value,
 )
 from .pointed import BASE, FinPerm, Point, PointedUnion, random_perm, side_points
@@ -78,10 +77,13 @@ def build_quotient(G: GroupHandle, radius: int,
                    modulus: Optional[int] = None) -> FiniteQuotient:
     """A finite quotient injective on the radius ball.
 
-    A finite factor is its own quotient.  Z^d (Z is d = 1) maps onto
-    (Z/m)^d, m = ``modulus`` or 2 * radius + 1, with (Z/m)^d indexed by
-    the base-m number of its coordinates.  Any other factor needs an
-    explicit quotient, passed to ``Approximation``.
+    A finite factor is its own quotient.  Z maps onto Z/m and Z^d onto
+    (Z/m)^d, m = ``modulus`` or 2 * radius + 1, reducing each coordinate
+    mod m; (Z/m)^d is computed componentwise on int tuples, in base-m
+    order, and no table is built.  A quotient of more than
+    ``DEFAULT_BALL_CAP`` elements is refused before anything is built.
+    Any other factor needs an explicit quotient, passed to
+    ``Approximation``.
     """
     if G.is_finite:
         return _identity_quotient(G, radius, modulus)
@@ -94,22 +96,21 @@ def build_quotient(G: GroupHandle, radius: int,
         raise GroupSpecError(
             f"modulus {m} cannot be injective on the radius-{radius} ball"
         )
-    target: GroupHandle = CyclicGroup(m)
-    if G.kind == "lattice" and G.d > 1:
-        table = cyclic_table(m)
-        for _ in range(G.d - 1):
-            table = direct_product_table(table, cyclic_table(m))
-        target = TableGroup(table)
-
+    d = G.d if G.kind == "lattice" else 1
+    if m ** d > DEFAULT_BALL_CAP:
+        raise BudgetError(
+            f"{m ** d} quotient elements exceed the cap of {DEFAULT_BALL_CAP}"
+        )
     if G.kind == "integers":
+        target: GroupHandle = CyclicGroup(m)
+
         def proj(x: int) -> int:
             return x % m
     else:
-        def proj(x: tuple[int, ...]) -> int:
-            idx = 0
-            for c in x:
-                idx = idx * m + c % m
-            return idx
+        target = CyclicPowerGroup(m, d)
+
+        def proj(x: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple([c % m for c in x])
 
     return FiniteQuotient(G, target, proj, (m - 1) // 2)
 

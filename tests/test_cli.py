@@ -313,13 +313,19 @@ def test_suite_only_runs_just_the_named_check(capsys, monkeypatch):
 
 
 # SHA-256 of the lef check JSON lines with wall_time dropped, recorded
-# before phi was computed lazily in sample mode
+# before phi was computed lazily in sample mode; the Z^3 x Z and the
+# modulus-31 Z^2 x Z digests were recorded while (Z/m)^d was still a table
 LEF_CHECK_DIGESTS = [
     (("-n", "1", "--modulus", "17", "--mode", "sample:10000"),
      "25b9e9952713126561868e22149d576b1eaa1f6e60548c2929d5a50ea662af5a"),
     (("-n", "1", "--left", '{"type":"lattice","d":2}', "--modulus", "9",
       "--mode", "sample:2000"),
      "0c150718a8c07132c53f32a16b96608d01a19e05d9d6168042e199ea69b093cd"),
+    (("-n", "1", "--left", '{"type":"lattice","d":3}', "--mode", "sample:500"),
+     "b8501741b046b4a72b3fa56060f9a14be01f8bfa1ed369713f21198ebac42799"),
+    (("-n", "1", "--left", '{"type":"lattice","d":2}', "--modulus", "31",
+      "--mode", "sample:500"),
+     "b8501741b046b4a72b3fa56060f9a14be01f8bfa1ed369713f21198ebac42799"),
 ]
 
 
@@ -333,6 +339,20 @@ def test_lef_check_output_is_pinned(capsys, argv, digest):
         del record["wall_time"]
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
+def test_lef_check_refuses_a_quotient_over_the_cap(capsys):
+    code, out, err = run_cli(capsys, "lef", "check", "-n", "1", "--left",
+                             '{"type":"lattice","d":7}', "--mode", "sample:20")
+    assert (code, out) == (2, "")
+    assert err == "error: 4782969 quotient elements exceed the cap of 1000000\n"
+
+
+def test_lef_check_on_a_z4_factor(capsys):
+    code, out, _ = run_cli(capsys, "lef", "check", "-n", "1", "--left",
+                           '{"type":"lattice","d":4}', "--mode", "sample:20")
+    assert code == 0
+    assert [json.loads(line)["pairs_checked"] for line in out.splitlines()] == [20, 20, 20]
 
 
 def test_suite_repro_carries_the_factors_and_budget(capsys):

@@ -19,7 +19,14 @@ from gluedprod import (
     schreier_sims_order,
     three_cycle,
 )
-from gluedprod.groups import cyclic_table, format_value, symmetric_group_table
+from gluedprod.groups import (
+    CyclicPowerGroup,
+    TableGroup,
+    cyclic_table,
+    direct_product_table,
+    format_value,
+    symmetric_group_table,
+)
 
 from conftest import finite_catalog, mulclose
 from test_numbering import shifted_cyclic
@@ -191,6 +198,34 @@ def test_catalog_builds():
     for G in catalog.values():
         elems = G.elements()
         assert len(elems) == len(set(elems)) == G.order()
+
+
+@pytest.mark.parametrize("m, d", [(3, 1), (5, 2), (9, 2), (3, 3)])
+def test_cyclic_power_matches_the_direct_product_table(m, d):
+    """(Z/m)^d on int tuples against the table of d copies of Z/m: the
+    tuple at position k is the base-m digits of the table's element k."""
+    table = cyclic_table(m)
+    for _ in range(d - 1):
+        table = direct_product_table(table, cyclic_table(m))
+    oracle = TableGroup(table)
+    G = CyclicPowerGroup(m, d)
+    elements = G.elements()
+    assert G.order() == oracle.order() == len(elements)
+    assert G.identity == elements[0] and oracle.identity == 0
+    assert elements == sorted(elements, key=G.sort_key)
+    assert [G.length(x) for x in elements] == [0] + [1] * (len(elements) - 1)
+
+    def index(x):
+        k = 0
+        for c in x:
+            k = k * m + c
+        return k
+
+    assert [index(x) for x in elements] == oracle.elements()
+    for x in elements:
+        assert index(G.inv(x)) == oracle.inv(index(x))
+        for y in elements:
+            assert index(G.mul(x, y)) == oracle.mul(index(x), index(y))
 
 
 def test_large_table_uses_sampled_associativity():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from gluedprod import (
     BASE,
     BudgetError,
     CyclicGroup,
+    CyclicPowerGroup,
     FinPerm,
     GluedError,
     GroupSpecError,
@@ -56,10 +58,37 @@ def test_build_quotient_integers():
 
 def test_build_quotient_lattice():
     q = build_quotient(LatticeGroup(2), 2)
+    assert isinstance(q.target, CyclicPowerGroup)
     assert q.target.order() == 25
-    assert q.proj((6, -1)) == q.proj((1, 4))  # componentwise mod 5
+    assert q.proj((6, -1)) == q.proj((1, 4)) == (1, 4)  # componentwise mod 5
     ball = q.source.ball(2)
     assert len({q.proj(x) for x in ball}) == len(ball)
+
+
+@pytest.mark.parametrize("G, modulus, size", [
+    (IntegersGroup(), 10**6 + 1, 10**6 + 1),
+    (LatticeGroup(2), 1001, 1001**2),
+    (LatticeGroup(7), None, 9**7),
+])
+def test_build_quotient_refuses_more_elements_than_the_cap(G, modulus, size):
+    with pytest.raises(BudgetError, match=f"^{size} quotient elements exceed the cap of 1000000$"):
+        build_quotient(G, 4, modulus)
+
+
+def test_lattice_quotient_memory_does_not_grow_with_the_square_of_its_order():
+    """(Z/m)^d is computed, not tabulated (a table at modulus 31 has
+    961^2 entries): building the Z^2 x Z approximation there and running
+    a 10-pair check stay under fixed bounds."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        approx = Approximation(PvContext(LatticeGroup(2), IntegersGroup()), 1, modulus=31)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        assert approx.check_multiplicativity(mode="sample", sample=10).ok
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 10**6 and peaks[1] < 2 * 10**6, peaks
 
 
 def test_build_quotient_finite_identity():
