@@ -551,8 +551,15 @@ POINT_CAP = 64  # the most points the order engine takes; at 64 a run can take m
 
 
 def compose_dense(p: DensePerm, q: DensePerm) -> DensePerm:
-    """(p o q): apply q first, then p."""
-    return tuple(p[i] for i in q)
+    """(p o q): apply q first, then p.
+
+    The gather runs in C: ``itemgetter(*q)(p)`` is the tuple of p[i] for
+    i in q, in one call.  Below two points a plain tuple is built, since
+    itemgetter takes no index at n = 0 and returns a bare item at n = 1.
+    """
+    if len(q) < 2:
+        return tuple([p[i] for i in q])
+    return operator.itemgetter(*q)(p)
 
 
 def inverse_dense(p: DensePerm) -> DensePerm:

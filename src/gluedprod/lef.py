@@ -296,7 +296,10 @@ class Approximation:
                 )
         self.target = PointedUnion(self.qg.target, self.qh.target)
         self._outers: dict[tuple[Element, Element], DensePerm] = {}
+        # the point projection: all of C_4n now, any other point on first use
         self._point_images: dict[Point, int] = {}
+        for p in window(ctx, 4 * n).points:
+            self.point_image(p)
         # the element at each position of F_n, decoded once per approximation
         self._element = functools.cache(lambda k: window_element(ctx, n, k))
 
@@ -325,17 +328,23 @@ class Approximation:
         return self._image(s)
 
     def _image(self, s: PvElement) -> DensePerm:
-        """phi of an element already known to lie in F_2n."""
-        gn, hn, pa = self.qg.proj(s.g), self.qh.proj(s.h), self.pushforward(s.a)
+        """phi of an element already known to lie in F_2n.
+
+        A copy of the cached outer translation is patched at the
+        residual's support: for each p -> q of a, the position of p takes
+        the outer image of the position of q.  The copy and the outer
+        composition run in C; the Python loop is over the support only.
+        """
+        gn, hn = self.qg.proj(s.g), self.qh.proj(s.h)
         outer = self._outers.get((gn, hn))
         if outer is None:
             outer = compose_dense(self.target.dense_translation("g", gn),
                                   self.target.dense_translation("h", hn))
             self._outers[gn, hn] = outer
         images = list(outer)
-        for p, _ in s.a.items():
-            i = self.point_image(p)
-            images[i] = outer[pa[i]]
+        index = self._point_images  # holds all of C_4n, which contains C_2n
+        for p, q in s.a.items():
+            images[index[p]] = outer[index[q]]
         return tuple(images)
 
     # -- harnesses -------------------------------------------------------
@@ -374,7 +383,7 @@ class Approximation:
             raise GroupSpecError(f"unknown pair checks {sorted(unknown)}")
         ctx, element_at = self.ctx, self._element
         multiplicativity = "multiplicativity" in checks
-        phi_at = functools.cache(lambda i: self.phi(element_at(i)))
+        phi_at = functools.cache(lambda i: self._image(element_at(i)))
         checked = 0
         failures: dict[str, list[str]] = {name: [] for name in checks}
         for i, j in self._window_pairs(mode, sample, seed):
@@ -412,7 +421,7 @@ class Approximation:
             while s1 == s2:
                 s1 = random_window_element(self.ctx, 2 * self.n, rng)
                 s2 = random_window_element(self.ctx, 2 * self.n, rng)
-            yield None if self.phi(s1) != self.phi(s2) else self._pair_label(s1, s2)
+            yield None if self._image(s1) != self._image(s2) else self._pair_label(s1, s2)
 
     @_check("point-bijection")
     def check_point_bijection(self):
@@ -437,7 +446,7 @@ class Approximation:
         other factor's kernel shadow, projecting x.z equals translating
         the projection of z by the projected x.
         """
-        ctx = self.ctx
+        ctx, index = self.ctx, self._point_images
         points = window(ctx, 4 * self.n).points
         rng = Random(seed)
         for side, handle, q, other_q in (("g", ctx.G, self.qg, self.qh),
@@ -453,7 +462,7 @@ class Approximation:
                             other_q.proj(z.payload) == other_q.target.identity:
                         continue  # kernel shadow: projection collapses to the basepoint
                     holds = self.point_image(ctx.union.apply_factor(side, x, z)) \
-                        == trans[self.point_image(z)]
+                        == trans[index[z]]
                     yield None if holds else \
                         f"{side}:{format_value(x)} at {ctx.union.format_point(z)}"
 

@@ -6,6 +6,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gluedprod import CyclicGroup, GroupSpecError, PointedUnion, schreier_sims_order
 from gluedprod.finite import (
@@ -100,13 +102,30 @@ def test_expected_orders():
 
 
 def test_schreier_sims_agrees_with_closure_on_small_products():
-    small = [CyclicGroup(2), CyclicGroup(3), CyclicGroup(4)]
-    for a, b in itertools.combinations_with_replacement(small, 2):
-        gens = realize_finite(a, b)
-        assert schreier_sims_order(gens) == len(mulclose(gens))
+    """Every catalog product on at most 8 points, against brute-force closure."""
+    catalog = finite_catalog()
+    for a, b in itertools.combinations_with_replacement(catalog.values(), 2):
+        if a.order() + b.order() - 1 <= 8:
+            gens = realize_finite(a, b)
+            assert schreier_sims_order(gens) == len(mulclose(gens)), (a, b)
 
 
 def test_compose_dense_convention():
     p = (1, 0, 2)
     q = (0, 2, 1)
     assert compose_dense(p, q) == tuple(p[q[i]] for i in range(3))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_compose_dense_below_the_gather(n):
+    """At n = 0 and 1 itemgetter would take no index or return a bare item."""
+    for p, q in itertools.product(itertools.permutations(range(n)), repeat=2):
+        assert compose_dense(p, q) == tuple(p[i] for i in q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=200).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_compose_dense_is_the_pointwise_gather(pair):
+    p, q = map(tuple, pair)
+    assert compose_dense(p, q) == tuple(p[i] for i in q)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -352,6 +353,13 @@ def test_mixed_identity_maps_to_identity():
     assert approx.phi(ctx.identity) == identity_dense(len(approx.target.points))
 
 
+def _drop_residuals(approx: Approximation, monkeypatch) -> None:
+    """Break phi by mapping every element as if its residual were trivial."""
+    original = approx._image
+    monkeypatch.setattr(approx, "_image",
+                        lambda s: original(PvElement(s.g, s.h, FinPerm.identity())))
+
+
 def test_report_json_shape(zz_fast):
     approx = Approximation(zz_fast, 1, modulus=17)
     report = approx.check_multiplicativity(mode="sample", sample=10, seed=0)
@@ -361,8 +369,7 @@ def test_report_json_shape(zz_fast):
 
 def test_failing_case_keeps_count_and_labels_the_pair(zz_fast, monkeypatch):
     approx = Approximation(zz_fast, 1, modulus=17)
-    monkeypatch.setattr(approx, "pushforward",
-                        lambda a: identity_dense(len(approx.target.points)))
+    _drop_residuals(approx, monkeypatch)
     report = approx.check_multiplicativity(mode="sample", sample=200, seed=3)
     assert not report.ok
     assert report.pairs_checked == 200
@@ -470,6 +477,55 @@ def test_check_counts_are_pinned(setup):
     ]
 
 
+# SHA-256 of the images the checks of ``test_check_counts_are_pinned``
+# compare, in the order they walk them
+IMAGE_DIGESTS = {
+    "Z2xZ mod 9": "01d35c95699c33bfbac2ab1c9d3e52582de6186e709d66440627bf9151df3942",
+    "ZxZ mod 17": "d0dc6d5c399d65d23a46ce115897787012cf59fa8a3106c4c1386c95cc8c62b0",
+    "ZxZ/3": "9dabd7251b916c0231b2fba9caa9d21a662654092ae59df94cf9fd9080de1dd9",
+}
+
+
+@pytest.mark.parametrize("setup", sorted(PINNED_SETUPS))
+def test_check_images_are_pinned(setup):
+    """phi of every drawn position of F_1 and of every in-window product
+    (seed 3, 300 pairs), and phi of the 200 injectivity draws from F_2.
+    A passing report names only its counts, so this pins what it saw."""
+    make, modulus, _ = PINNED_SETUPS[setup]
+    ctx = make()
+    approx = Approximation(ctx, 1, modulus=modulus)
+    digest = hashlib.sha256()
+    rng = Random(3)
+    count = window(ctx, 1).size
+    for _ in range(300):
+        s1 = window_element(ctx, 1, rng.randrange(count))
+        s2 = window_element(ctx, 1, rng.randrange(count))
+        digest.update(repr((approx.phi(s1), approx.phi(s2))).encode())
+        product = ctx.multiply(s1, s2)
+        if in_window(ctx, product, 2):
+            digest.update(repr(approx._image(product)).encode())
+    rng = Random(3)
+    for _ in range(200):
+        s1 = s2 = None
+        while s1 == s2:
+            s1 = random_window_element(ctx, 2, rng)
+            s2 = random_window_element(ctx, 2, rng)
+        digest.update(repr((approx.phi(s1), approx.phi(s2))).encode())
+    assert digest.hexdigest() == IMAGE_DIGESTS[setup]
+
+
+def test_point_projection_fills_points_outside_the_window_on_first_use(zz_fast):
+    """C_4n is projected up front; a translate outside it, such as g:6 for
+    n = 1, is projected directly the first time it is asked for."""
+    approx = Approximation(zz_fast, 1, modulus=17)
+    far = Point("g", 6)
+    assert far not in window(zz_fast, 4).point_set
+    assert far not in approx._point_images
+    projected = approx.target.index[approx.target.point("g", 6)]
+    assert approx.point_image(far) == approx._point_images[far] == projected
+    assert approx.point_image(Point("g", -11)) == projected
+
+
 def _eager_multiplicativity(approx: Approximation, mode: str, sample: int, seed: int
                             ) -> tuple[int, list[str]]:
     """The multiplicativity report computed the direct way: phi of all of
@@ -496,14 +552,14 @@ def test_sampled_multiplicativity_maps_only_the_drawn_elements(monkeypatch):
     product and its two factors), not all 37,800 elements of F_1."""
     ctx = PvContext(LatticeGroup(2), IntegersGroup())
     calls = 0
-    original = Approximation.phi
+    original = Approximation._image
 
     def counting(self, s):
         nonlocal calls
         calls += 1
         return original(self, s)
 
-    monkeypatch.setattr(Approximation, "phi", counting)
+    monkeypatch.setattr(Approximation, "_image", counting)
     for seed in (0, 1, 2):
         calls = 0
         approx = Approximation(ctx, 1, modulus=9)
@@ -530,8 +586,7 @@ def test_lazy_multiplicativity_matches_the_eager_reference_exhaustively():
 
 def test_lazy_multiplicativity_reports_the_eager_failures_in_order(zz_fast, monkeypatch):
     approx = Approximation(zz_fast, 1, modulus=17)
-    monkeypatch.setattr(approx, "pushforward",
-                        lambda a: identity_dense(len(approx.target.points)))
+    _drop_residuals(approx, monkeypatch)
     report = approx.check_multiplicativity(mode="sample", sample=200, seed=3)
     expected = _eager_multiplicativity(approx, "sample", 200, 3)
     assert 0 < len(expected[1]) < 200
