@@ -26,15 +26,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from math import gcd
-from random import Random
+from math import comb, gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError, GroupSpecError
 
 DEFAULT_BALL_CAP = 10**6
-TABLE_EXHAUSTIVE_LIMIT = 64
-_TABLE_SAMPLED_TRIPLES = 10**4
 _FREE_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -118,10 +115,11 @@ class GroupHandle:
                 break
             out.append(x)
             if len(out) > cap:
-                raise BudgetError(
-                    f"ball of radius {radius} in {self!r} exceeds cap {cap}"
-                )
+                self._refuse_ball(radius, cap)
         return out
+
+    def _refuse_ball(self, radius: int, cap: int):
+        raise BudgetError(f"ball of radius {radius} in {self!r} exceeds cap {cap}")
 
     def element_order(self, x: Element) -> Optional[int]:
         """Least k >= 1 with x^k trivial, or None when infinite.
@@ -145,7 +143,7 @@ class CyclicGroup(GroupHandle):
     kind = "cyclic"
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise GroupSpecError(f"cyclic order must be a positive integer, got {n!r}")
         self.n = n
         self.identity = 0
@@ -196,9 +194,9 @@ class CyclicPowerGroup(GroupHandle):
     kind = "cyclic-power"
 
     def __init__(self, m: int, d: int):
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise GroupSpecError(f"cyclic order must be a positive integer, got {m!r}")
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             raise GroupSpecError(f"power must be positive, got {d!r}")
         self.m = m
         self.d = d
@@ -274,7 +272,7 @@ class LatticeGroup(GroupHandle):
     kind = "lattice"
 
     def __init__(self, d: int):
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             raise GroupSpecError(f"lattice dimension must be positive, got {d!r}")
         self.d = d
         self.identity = (0,) * d
@@ -311,19 +309,48 @@ class LatticeGroup(GroupHandle):
     def sort_key(self, x):
         return (sum(map(abs, x)), x)
 
-    def _sphere(self, r: int) -> list[tuple[int, ...]]:
-        out = []
+    def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[Element]:
+        """Refused from its size, sum over k of 2^k C(d, k) C(radius, k),
+        before any element is built: each one holds d ints."""
+        if sum(2**k * comb(self.d, k) * comb(radius, k) for k in range(radius + 1)) > cap:
+            self._refuse_ball(radius, cap)
+        return super().ball(radius, cap)
 
-        def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-            if slots == 1:
-                for c in (remaining, -remaining) if remaining else (0,):
-                    out.append(prefix + (c,))
+    def _sphere(self, r: int) -> Iterator[tuple[int, ...]]:
+        """The elements of length r in lexicographic order, one at a time.
+
+        An odometer runs over the first d - 1 coordinates, and the last
+        takes -rest, then +rest, of the length they leave.  ``rem[j]`` is
+        the length left for coordinates j.., and the first ``live``
+        coordinates are those with some left; every later one is 0, so a
+        step touches at most two coordinates.
+        """
+        last = self.d - 1
+        head = [0] * last
+        rem = [r] + [0] * last
+        if last:
+            head[0] = -r
+        live = 1 if r and last else 0
+        while True:
+            rest = rem[last]
+            prefix = tuple(head)
+            if rest:
+                yield prefix + (-rest,)
+                yield prefix + (rest,)
+            else:
+                yield prefix + (0,)
+            i = live - 1
+            if i >= 0 and head[i] == rem[i]:
+                i -= 1  # spent all it had; the one before it has room
+            if i < 0:
                 return
-            for a in range(-remaining, remaining + 1):
-                rec(prefix + (a,), remaining - abs(a), slots - 1)
-
-        rec((), r, self.d)
-        return sorted(out)
+            head[i] += 1
+            left = rem[i + 1] = rem[i] - abs(head[i])
+            if i + 1 < last:
+                head[i + 1] = -left
+                live = i + 2 if left else i + 1
+            else:
+                live = last
 
     def enumerate_elements(self):
         for r in itertools.count(0):
@@ -340,7 +367,7 @@ class FreeGroup(GroupHandle):
     kind = "free"
 
     def __init__(self, rank: int):
-        if not isinstance(rank, int) or not 1 <= rank <= 26:
+        if type(rank) is not int or not 1 <= rank <= 26:
             raise GroupSpecError(f"free rank must be in 1..26, got {rank!r}")
         self.rank = rank
         self.identity = ""
@@ -348,6 +375,9 @@ class FreeGroup(GroupHandle):
         for c in _FREE_ALPHABET[:rank]:
             self.letters.extend([c, c.upper()])
         self._letter_rank = {c: i for i, c in enumerate(self.letters)}
+        # the letters that may follow each letter in a reduced word
+        self._follow = {c: [x for x in self.letters if x != c.swapcase()]
+                        for c in self.letters}
 
     def __repr__(self):
         return f"free({self.rank})"
@@ -396,17 +426,27 @@ class FreeGroup(GroupHandle):
         return (len(x), tuple(self._letter_rank[c] for c in x))
 
     def enumerate_elements(self):
-        layer = [""]
         yield ""
-        while True:
-            nxt = []
-            for w in layer:
-                for c in self.letters:
-                    if w and w[-1] == c.swapcase():
-                        continue
-                    nxt.append(w + c)
-            yield from nxt
-            layer = nxt
+        yield from self.letters
+        for length in itertools.count(2):
+            yield from self._layer(length)
+
+    def _layer(self, length: int) -> Iterator[str]:
+        """The reduced words of one length >= 2 in canonical order, by a
+        depth-first walk over their prefixes one letter shorter."""
+        follow = self._follow
+        stack = [("", iter(self.letters))]
+        while stack:
+            prefix, letters = stack[-1]
+            for c in letters:
+                w = prefix + c
+                if len(w) < length - 1:
+                    stack.append((w, iter(follow[c])))
+                    break
+                for x in follow[c]:
+                    yield w + x
+            else:
+                stack.pop()
 
 
 class TableGroup(GroupHandle):
@@ -414,7 +454,10 @@ class TableGroup(GroupHandle):
 
     kind = "table"
 
-    def __init__(self, table: Sequence[Sequence[int]]):
+    def __init__(self, table: list[list[int]]):
+        if type(table) is not list or not all(
+                type(row) is list and all(type(x) is int for x in row) for row in table):
+            raise GroupSpecError("table must be a list of lists of ints")
         self.table = [list(row) for row in table]
         n = len(self.table)
         if n == 0 or any(len(row) != n for row in self.table):
@@ -439,21 +482,38 @@ class TableGroup(GroupHandle):
             self._inv[i] = self.table[i].index(self.identity)
 
     def _check_associativity(self):
-        n = self.n
-        t = self.table
-        if n <= TABLE_EXHAUSTIVE_LIMIT:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(_TABLE_SAMPLED_TRIPLES)
-            )
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise GroupSpecError(
-                    f"table is not associative at ({a},{b},{c})"
-                )
+        """Light's test (Clifford and Preston, The Algebraic Theory of
+        Semigroups I, 1961), exact at n^2 |S| products.
+
+        The s with (x s) y = x (s y) for all x, y are closed under the
+        product, so checking them for a set S that generates the table
+        proves associativity.  S is picked greedily: each element not yet
+        in the closure of {e} and S joins it, so a group takes at most
+        log2(n) + 1 of them.
+        """
+        n, t = self.n, self.table
+        reached = {self.identity}
+        gens = []
+        for a in range(n):
+            if a in reached:
+                continue
+            gens.append(a)
+            reached.add(a)
+            frontier = [a]
+            while frontier:  # each new u meets every element reached so far
+                u = frontier.pop()
+                for v in list(reached):
+                    for w in (t[u][v], t[v][u]):
+                        if w not in reached:
+                            reached.add(w)
+                            frontier.append(w)
+        for s in gens:
+            ts = t[s]
+            for x in range(n):
+                tx, left = t[x], t[t[x][s]]
+                if left != [tx[v] for v in ts]:
+                    y = next(y for y in range(n) if left[y] != tx[ts[y]])
+                    raise GroupSpecError(f"table is not associative at ({x},{s},{y})")
 
     def __repr__(self):
         return f"table({self.n})"

@@ -19,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import MIXED, PvContext, PvElement
 from .errors import BudgetError, GroupSpecError, MembershipError
@@ -68,9 +68,8 @@ class FiniteQuotient:
                 )
 
 
-def _identity_quotient(G: GroupHandle, radius: int,
-                       modulus: Optional[int]) -> FiniteQuotient:
-    return FiniteQuotient(G, G, lambda x: x, max(radius, 10**9))
+def _identity_quotient(G: GroupHandle) -> FiniteQuotient:
+    return FiniteQuotient(G, G, lambda x: x, 10**9)
 
 
 def build_quotient(G: GroupHandle, radius: int,
@@ -86,7 +85,7 @@ def build_quotient(G: GroupHandle, radius: int,
     ``Approximation``.
     """
     if G.is_finite:
-        return _identity_quotient(G, radius, modulus)
+        return _identity_quotient(G)
     if G.kind not in ("integers", "lattice"):
         raise GroupSpecError(
             f"no finite quotient for kind {G.kind!r}; pass quotient_g/quotient_h"
@@ -276,6 +275,20 @@ def _check(name: str):
     return decorate
 
 
+def _cases(mode: str, total: int, every: Callable[[], Iterable],
+           draw: Callable[[], object], sample: int, unit: str) -> Iterable:
+    """The cases of one check: all ``total`` of ``every()``, or ``sample``
+    seeded ``draw()`` calls; never more than ``PAIR_BUDGET``.  Only the
+    mode asked for is built, so a sample never touches the whole set."""
+    if mode == "exhaustive":
+        if total > PAIR_BUDGET:
+            raise BudgetError(f"{total} {unit} exceed the budget of {PAIR_BUDGET}")
+        return every()
+    if mode == "sample":
+        return (draw() for _ in range(min(sample, PAIR_BUDGET)))
+    raise GroupSpecError(f"unknown mode {mode!r}")
+
+
 class Approximation:
     """The map phi from the window F_2n into a finite glued product."""
 
@@ -314,15 +327,10 @@ class Approximation:
             image = self._point_images[p] = self.target.index[projected]
         return image
 
-    def pushforward(self, a: FinPerm) -> DensePerm:
-        images = list(range(len(self.target.index)))
-        for p, q in a.items():
-            images[self.point_image(p)] = self.point_image(q)
-        return tuple(images)
-
     def phi(self, s: PvElement) -> DensePerm:
-        """T_g o T_h o pushforward(a), with the outer translation T_g o T_h
-        cached per quotient pair: only the residual's support is patched."""
+        """T_g o T_h o a_*, where a_* pushes the residual a forward along
+        the point projection; the outer translation T_g o T_h is cached
+        per quotient pair, so only the residual's support is patched."""
         if not in_window(self.ctx, s, 2 * self.n):
             raise MembershipError(f"element outside the window F_{2 * self.n}")
         return self._image(s)
@@ -349,19 +357,6 @@ class Approximation:
 
     # -- harnesses -------------------------------------------------------
 
-    def _window_pairs(self, mode: str, sample: int, seed: int) -> Iterator[tuple[int, int]]:
-        """Pairs of positions in F_n: all of them, or ``sample`` seeded draws."""
-        count = window(self.ctx, self.n).size
-        if mode == "exhaustive":
-            if count * count > PAIR_BUDGET:
-                raise BudgetError(f"{count * count} pairs exceed the budget of {PAIR_BUDGET}")
-            return itertools.product(range(count), repeat=2)
-        if mode == "sample":
-            rng = Random(seed)
-            return ((rng.randrange(count), rng.randrange(count))
-                    for _ in range(min(sample, PAIR_BUDGET)))
-        raise GroupSpecError(f"unknown mode {mode!r}")
-
     def _pair_label(self, s1: PvElement, s2: PvElement) -> str:
         return f"{self.ctx.format_element(s1)} | {self.ctx.format_element(s2)}"
 
@@ -384,9 +379,14 @@ class Approximation:
         ctx, element_at = self.ctx, self._element
         multiplicativity = "multiplicativity" in checks
         phi_at = functools.cache(lambda i: self._image(element_at(i)))
+        count = window(ctx, self.n).size
+        rng = Random(seed)
+        pairs = _cases(mode, count * count,
+                       lambda: itertools.product(range(count), repeat=2),
+                       lambda: (rng.randrange(count), rng.randrange(count)), sample, "pairs")
         checked = 0
         failures: dict[str, list[str]] = {name: [] for name in checks}
-        for i, j in self._window_pairs(mode, sample, seed):
+        for i, j in pairs:
             checked += 1
             s1, s2 = element_at(i), element_at(j)
             product = ctx.multiply(s1, s2)
@@ -452,10 +452,9 @@ class Approximation:
         for side, handle, q, other_q in (("g", ctx.G, self.qg, self.qh),
                                          ("h", ctx.H, self.qh, self.qg)):
             ball = handle.elements() if handle.is_finite else handle.ball(2 * self.n)
-            if mode == "sample":
-                ball = [rng.choice(ball) for _ in range(max(1, sample // len(points)))]
             other_side = "h" if side == "g" else "g"
-            for x in ball:
+            for x in _cases(mode, len(ball), lambda: ball, functools.partial(rng.choice, ball),
+                            max(1, sample // len(points)), "ball elements"):
                 trans = self.target.dense_translation(side, q.proj(x))
                 for z in points:
                     if z.side == other_side and \
@@ -469,37 +468,32 @@ class Approximation:
     @_check("pushforward")
     def check_pushforward(self, mode: str = "exhaustive",
                           sample: int = 10**4, seed: int = 0):
-        """The pushforward acts as conjugation by the point projection.
+        """phi pushes a residual forward along the point projection.
 
-        For every residual supported in C_2n and every y in C_4n, the
-        image of y under the pushforward of a equals the projection of
-        a(y).
+        For every residual a supported in C_2n and every y in C_4n, phi
+        of (e, e, a) sends the projection of y to the projection of a(y).
+        With both factor parts trivial the outer translation is the
+        identity, so this checks the map phi runs on its residual alone.
         """
-        w2 = window(self.ctx, 2 * self.n)
+        ctx, index = self.ctx, self._point_images
+        w2 = window(ctx, 2 * self.n)
         pts2 = w2.points
-        image = {y: self.point_image(y) for y in window(self.ctx, 4 * self.n).points}
+        pts4 = window(ctx, 4 * self.n).points
         c = len(pts2)
+        rng = Random(seed)
 
         def verify(sigma: tuple[int, ...]) -> bool:
             a = FinPerm._trusted({p: pts2[j] for p, j in zip(pts2, sigma) if p != pts2[j]})
-            pushed = self.pushforward(a)
-            return all(pushed[i] == image[a(y)] for y, i in image.items())
+            pushed = self._image(PvElement(ctx.G.identity, ctx.H.identity, a))
+            return all(pushed[index[y]] == index[a(y)] for y in pts4)
 
-        def shuffled():
-            rng = Random(seed)
-            for _ in range(sample):
-                sigma = list(range(c))
-                rng.shuffle(sigma)
-                yield tuple(sigma)
+        def shuffled() -> tuple[int, ...]:
+            sigma = list(range(c))
+            rng.shuffle(sigma)
+            return tuple(sigma)
 
-        if mode == "exhaustive":
-            total = math.factorial(c)
-            if total > PAIR_BUDGET:
-                raise BudgetError(f"{total} residuals exceed the budget of {PAIR_BUDGET}")
-            residuals = itertools.permutations(range(c))
-        else:
-            residuals = shuffled()
-        for sigma in residuals:
+        for sigma in _cases(mode, math.factorial(c), lambda: itertools.permutations(range(c)),
+                            shuffled, sample, "residuals"):
             if not w2.even or not parity_dense(sigma):
                 yield None if verify(sigma) else f"residual {sigma}"
 

@@ -430,6 +430,8 @@ def run_suite(name: str, cfg: SuiteConfig,
     else:
         raise GluedError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(list(SUITE_NAMES) + ['all'])}")
+    if only is not None and not any(only in _SUITES[suite] for suite in names):
+        raise GluedError(f"no check {only!r} in suite {name!r}")
     cfg.limit()  # a bad budget is one error, not a failure of every check
     results = [run(cfg) for suite in names
                for check, run in _SUITES[suite].items()

@@ -261,6 +261,19 @@ def test_bad_factor_spec_is_one_error_line(tmp_path, capsys):
     assert err == "error: unknown group kind 'cyclc'\n"
 
 
+@pytest.mark.parametrize("spec", [
+    '{"type":"table","table":[1,2]}',
+    '{"type":"table","table":null}',
+    '{"type":"table","table":[[0,1],[1,0.0]]}',
+    '{"type":"cyclic","n":true}',
+])
+def test_malformed_factor_spec_is_one_error_line(capsys, spec):
+    code, out, err = run_cli(capsys, "eval", "--right", spec, "G:0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_lef_check_rejects_bad_sample_counts(capsys):
     for mode in ("sample:x", "sample:0", "sample:-3"):
         code, out, err = run_cli(capsys, "lef", "check", "--mode", mode)
@@ -310,6 +323,13 @@ def test_suite_only_runs_just_the_named_check(capsys, monkeypatch):
                            "--budget", "20")
     assert code == 0
     assert out.strip() == "ok   core.residual-parity  20 products even"
+
+
+def test_suite_only_with_no_such_check_is_one_error_line(capsys):
+    for suite in ("lef", "all"):
+        code, out, err = run_cli(capsys, "suite", suite, "--only", "nothing")
+        assert (code, out) == (2, "")
+        assert err == f"error: no check 'nothing' in suite {suite!r}\n"
 
 
 # SHA-256 of the lef check JSON lines with wall_time dropped, recorded

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from random import Random
 
 import pytest
@@ -21,6 +22,8 @@ from gluedprod import (
 )
 from gluedprod.groups import (
     CyclicPowerGroup,
+    FreeGroup,
+    LatticeGroup,
     TableGroup,
     cyclic_table,
     direct_product_table,
@@ -67,16 +70,42 @@ def test_parse_group_examples():
     assert z2.element_order(1) == 2
 
 
+def _intercalate_swapped_z600() -> list[list[int]]:
+    """Z/600 with (3,5), (303,305) trading values with (3,305), (303,5):
+    still a Latin square with identity 0, but 3 * 5 is now 308, not 8."""
+    table = cyclic_table(600)
+    for a in (3, 303):
+        table[a][5], table[a][305] = table[a][305], table[a][5]
+    return table
+
+
+# sizes and entries must be ints, not bools or floats, and a table a list of lists
+MALFORMED_SPECS = [
+    {"type": "table", "table": [1, 2]},
+    {"type": "table", "table": None},
+    {"type": "table", "table": "01"},
+    {"type": "table", "table": [[0, 1], [1, 0.0]]},
+    {"type": "table", "table": [[False, True], [True, False]]},
+    {"type": "cyclic", "n": True},
+    {"type": "lattice", "d": True},
+    {"type": "free", "rank": True},
+    {"type": "table", "table": _intercalate_swapped_z600()},
+]
+
+
 def test_parse_group_rejects_bad_specs():
     with pytest.raises(GroupSpecError):
         parse_group({"type": "nope"})
+    for spec in MALFORMED_SPECS:
+        with pytest.raises(GroupSpecError):
+            parse_group(spec)
     with pytest.raises(GroupSpecError):
         parse_group({"type": "table", "table": [[0, 1], [0, 1]]})
     with pytest.raises(GroupSpecError):
         # a Latin square without identity: the rows are the two nontrivial
         # permutations of {0,1,2} composed, never fixing everything
         parse_group({"type": "table", "table": [[1, 2, 0], [2, 0, 1], [0, 1, 2]][::-1]})
-    with pytest.raises(GroupSpecError):
+    with pytest.raises(GroupSpecError, match=r"table is not associative at \(\d+,\d+,\d+\)"):
         # Latin square failing associativity (order-5 quasigroup)
         parse_group({
             "type": "table",
@@ -115,6 +144,77 @@ def test_ball_lattice_against_enumeration():
     }
     assert set(L.ball(1)) == want
     assert len(want) == 5
+
+
+def _sphere_by_sorting(d: int, r: int) -> list[tuple[int, ...]]:
+    """The lattice sphere as it was once built: every point, then sorted."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            for c in (remaining, -remaining) if remaining else (0,):
+                out.append(prefix + (c,))
+            return
+        for a in range(-remaining, remaining + 1):
+            rec(prefix + (a,), remaining - abs(a), slots - 1)
+
+    rec((), r, d)
+    return sorted(out)
+
+
+def _words_by_layer(letters: list[str]):
+    """The free group's words as they were once built: a whole layer at a time."""
+    layer = [""]
+    yield ""
+    while True:
+        nxt = [w + c for w in layer for c in letters
+               if not (w and w[-1] == c.swapcase())]
+        yield from nxt
+        layer = nxt
+
+
+def test_lattice_spheres_keep_their_order():
+    for d in range(1, 6):
+        G = LatticeGroup(d)
+        for r in range(7):
+            assert list(G._sphere(r)) == _sphere_by_sorting(d, r), (d, r)
+
+
+def test_free_words_keep_their_order():
+    for rank in range(1, 4):
+        F = FreeGroup(rank)
+        count = len(F.ball(6))
+        assert list(itertools.islice(F.enumerate_elements(), count)) == \
+            list(itertools.islice(_words_by_layer(F.letters), count))
+
+
+def test_a_wide_lattice_ball_is_built_without_recursion():
+    assert len(LatticeGroup(2000).ball(1)) == 4001
+
+
+def test_a_lattice_ball_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    assert len(LatticeGroup(3).ball(4, cap=129)) == 129
+    with pytest.raises(BudgetError):
+        LatticeGroup(3).ball(4, cap=128)
+    monkeypatch.setattr(LatticeGroup, "enumerate_elements",
+                        lambda self: pytest.fail("the ball was enumerated"))
+    with pytest.raises(BudgetError):
+        LatticeGroup(2000).ball(2)  # 8,000,001 elements of 2000 ints each
+
+
+@pytest.mark.parametrize("G, length", [(LatticeGroup(12), 6), (FreeGroup(8), 5)],
+                         ids=["Z^12", "F_8"])
+def test_enumeration_holds_one_element_at_a_time(G, length):
+    """Reaching the first element of a length costs no whole sphere or layer
+    (53 and 54 MB when they were built whole)."""
+    tracemalloc.start()
+    try:
+        first = next(x for x in G.enumerate_elements() if G.length(x) == length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.length(first) == length
+    assert peak < 5 * 10**6
 
 
 def test_ball_monotone_and_product_closure():
@@ -229,7 +329,7 @@ def test_cyclic_power_matches_the_direct_product_table(m, d):
 
 
 def test_large_table_uses_sampled_associativity():
-    # above the exhaustive limit the check samples triples; a valid group passes
+    # Light's test checks a large table exactly; a valid group passes
     G = parse_group({"type": "table", "table": cyclic_table(70)})
     assert G.order() == 70
     assert G.mul(69, 1) == 0

@@ -205,10 +205,16 @@ def test_phi_matches_the_double_composition(setup):
     approx = Approximation(ctx, 1, modulus=modulus)
     union = approx.target
 
+    def pushforward(a):
+        images = list(range(len(union.index)))
+        for p, q in a.items():
+            images[approx.point_image(p)] = approx.point_image(q)
+        return tuple(images)
+
     def slow(s: PvElement):
         t_g = union.dense(union.translation("g", approx.qg.proj(s.g)))
         t_h = union.dense(union.translation("h", approx.qh.proj(s.h)))
-        return compose_dense(t_g, compose_dense(t_h, approx.pushforward(s.a)))
+        return compose_dense(t_g, compose_dense(t_h, pushforward(s.a)))
 
     rng = Random(11)
     f1 = window_elements(ctx, 1)
@@ -437,12 +443,20 @@ def test_phi_is_multiplicative_on_decoded_radius_two_pairs(data):
 
 def test_failing_pushforward_fails_its_own_check(zz_fast, monkeypatch):
     approx = Approximation(zz_fast, 1, modulus=17)
-    monkeypatch.setattr(approx, "pushforward",
-                        lambda a: identity_dense(len(approx.target.points)))
+    monkeypatch.setattr(approx, "_image",
+                        lambda s: identity_dense(len(approx.target.points)))
     report = approx.check_pushforward(mode="sample", sample=300, seed=3)
     assert not report.ok
     assert report.pairs_checked == 159
     assert all(label.startswith("residual (") for label in report.failures)
+
+
+@pytest.mark.parametrize("check", ["check_multiplicativity", "check_window_closure",
+                                   "check_equivariance", "check_pushforward"])
+def test_unknown_mode_is_refused(zz_fast, check):
+    approx = Approximation(zz_fast, 1, modulus=17)
+    with pytest.raises(GroupSpecError, match="unknown mode 'bogus'"):
+        getattr(approx, check)(mode="bogus", sample=50)
 
 
 PINNED_SETUPS = {
