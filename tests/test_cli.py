@@ -8,6 +8,7 @@ import shlex
 
 import pytest
 
+from gluedprod import finite
 from gluedprod.cli import main
 
 
@@ -295,6 +296,27 @@ def test_classify_verify_refuses_more_points_than_the_cap(capsys):
                              "--right", '{"type": "cyclic", "n": 40}')
     assert (code, out) == (2, "")
     assert err == "error: 79 points exceeds the cap of 64\n"
+
+
+def test_classify_verify_at_31_points(capsys):
+    code, out, err = run_cli(capsys, "classify", "--verify",
+                             "--left", '{"type": "cyclic", "n": 16}',
+                             "--right", '{"type": "cyclic", "n": 16}')
+    assert (code, err) == (0, "")
+    assert out == "Sym(31) order=8222838654177922817725562880000000 verified\n"
+
+
+def test_classify_verify_refuses_65_points_before_building(capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(finite, "realize_finite", built)
+    monkeypatch.setattr(finite, "schreier_sims_order", built)
+    code, out, err = run_cli(capsys, "classify", "--verify",
+                             "--left", '{"type": "cyclic", "n": 33}',
+                             "--right", '{"type": "cyclic", "n": 33}')
+    assert (code, out) == (2, "")
+    assert err == "error: 65 points exceeds the cap of 64\n"
 
 
 def test_suite_reports_inapplicable_checks_as_skipped(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gluedprod import CyclicGroup, GroupSpecError, PointedUnion, schreier_sims_order
+from gluedprod import CyclicGroup, GroupSpecError, PointedUnion, groups, schreier_sims_order
 from gluedprod.finite import (
     classify,
     compose_dense,
@@ -108,6 +109,61 @@ def test_schreier_sims_agrees_with_closure_on_small_products():
         if a.order() + b.order() - 1 <= 8:
             gens = realize_finite(a, b)
             assert schreier_sims_order(gens) == len(mulclose(gens)), (a, b)
+
+
+def test_generators_generate_every_catalog_factor():
+    for G in list(finite_catalog().values()) + [CyclicGroup(1)]:
+        gens = G.generators()
+        reached = {G.identity}
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = G.mul(x, s)
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        assert reached == set(G.elements()), G
+    assert CyclicGroup(1).generators() == []
+
+
+def test_glued_order_leaves_no_reference_cycle():
+    """A self-referring closure would park the engine's orbits until a
+    generation-2 collection, and raise the peak memory of a run."""
+    gc.disable()
+    try:
+        gc.collect()
+        glued_order(CyclicGroup(9), CyclicGroup(10))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_glued_order_inverts_each_transversal_entry_once(monkeypatch):
+    """18 points: Sym(18) has 17 + 16 + ... + 1 = 153 non-identity
+    transversal entries, each inverted at most once, and the
+    composition count stays far below the 82,661 of a non-incremental
+    engine over every element's translation."""
+    calls = {"compose": 0, "inverse": 0}
+    compose, inverse = groups.compose_dense, groups.inverse_dense
+
+    def counted_compose(p, q):
+        calls["compose"] += 1
+        return compose(p, q)
+
+    def counted_inverse(p):
+        calls["inverse"] += 1
+        return inverse(p)
+
+    monkeypatch.setattr(groups, "compose_dense", counted_compose)
+    monkeypatch.setattr(groups, "inverse_dense", counted_inverse)
+    assert glued_order(CyclicGroup(9), CyclicGroup(10)) == math.factorial(18)
+    assert 0 < calls["inverse"] <= 153
+    assert 0 < calls["compose"] < 30000
+
+
+def test_glued_order_at_31_points():
+    assert glued_order(CyclicGroup(16), CyclicGroup(16)) == math.factorial(31)
 
 
 def test_compose_dense_convention():

@@ -7,6 +7,8 @@ import tracemalloc
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gluedprod import (
     BASE,
@@ -288,6 +290,57 @@ def test_schreier_sims_generator_fixing_first_point():
     # a generator fixing the first moved point of the others still counts
     gens = [(1, 0, 2), (0, 2, 1)]
     assert schreier_sims_order(gens) == len(mulclose(gens))
+
+
+@st.composite
+def generator_sets(draw):
+    """1 to 3 permutations of at most 7 points: any, intransitive (each
+    fixes a split into two point sets) or block-preserving (each permutes
+    the blocks of k consecutive points)."""
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["any", "intransitive", "blocks"]))
+    cut = draw(st.integers(0, n))
+    k = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if shape == "any":
+            p = draw(st.permutations(range(n)))
+        elif shape == "intransitive":
+            p = draw(st.permutations(range(cut))) + draw(st.permutations(range(cut, n)))
+        else:
+            blocks = draw(st.permutations(range(n // k)))
+            p = [blocks[j] * k + r
+                 for j in range(n // k) for r in draw(st.permutations(range(k)))]
+        gens.append(tuple(p))
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_schreier_sims_matches_bruteforce_closure_on_any_shape(gens):
+    assert schreier_sims_order(gens) == len(mulclose(gens))
+
+
+def _cycles(n: int, *cycles: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation of 0..n-1 with the given cycles, points counted from 1."""
+    p = list(range(n))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            p[a - 1] = b - 1
+    return tuple(p)
+
+
+@pytest.mark.parametrize("gens, order", [
+    # the Mathieu groups on their natural points
+    ([_cycles(11, tuple(range(1, 12))), _cycles(11, (3, 7, 11, 8), (4, 10, 5, 6))], 7920),
+    ([_cycles(12, tuple(range(1, 12))), _cycles(12, (3, 7, 11, 8), (4, 10, 5, 6)),
+      _cycles(12, (1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10))], 95040),
+    # C2 wr C3: a swap in one block of {1,2}, {3,4}, {5,6}, and the block rotation
+    ([_cycles(6, (1, 2)), _cycles(6, (1, 3, 5), (2, 4, 6))], 24),
+])
+def test_schreier_sims_pinned_orders(gens, order):
+    """Groups that are neither Alt nor Sym, which glued products never give."""
+    assert schreier_sims_order(gens) == order
 
 
 def test_catalog_builds():
