@@ -48,6 +48,7 @@ class GroupHandle:
 
     kind: str = ""
     identity: Element = None
+    _generators: Optional[list[Element]] = None  # set by the first generators()
 
     @property
     def is_finite(self) -> bool:
@@ -106,12 +107,16 @@ class GroupHandle:
         return list(itertools.islice(self.enumerate_elements(), n))
 
     def generators(self) -> list[Element]:
-        """A generating set of a finite group, picked greedily.
+        """A generating set of a finite group, picked once per handle."""
+        if self._generators is None:
+            self._generators = self._pick_generators()
+        return list(self._generators)
 
-        Each element, in canonical order, that is not yet in the subgroup
-        generated by those picked before it joins them.  Each pick at
-        least doubles that subgroup, so a group takes at most log2 of its
-        order; the trivial group takes none.
+    def _pick_generators(self) -> list[Element]:
+        """Greedy: each element, in canonical order, that is not yet in the
+        subgroup generated by those picked before it joins them.  Each pick
+        at least doubles that subgroup, so a group takes at most log2 of
+        its order; the trivial group takes none.
         """
         mul = self.mul
         reached = {self.identity}

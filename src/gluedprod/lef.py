@@ -40,36 +40,32 @@ PAIR_CHECKS = ("multiplicativity", "window-closure")
 
 @dataclass
 class FiniteQuotient:
-    """A finite quotient of a factor, injective on a recorded ball."""
+    """A map of a factor onto a finite group; ``verify`` checks it on a ball."""
 
     source: GroupHandle
     target: GroupHandle
     proj: Callable[[Element], Element]
-    injectivity_radius: int
 
-    def __post_init__(self):
-        self._verify()
-
-    def _verify(self):
+    def verify(self, radius: int):
+        """Refuse the map unless it sends the identity to the identity, is
+        a homomorphism on 64 seeded pairs, and is injective on the
+        radius ball (the whole group when the source is finite)."""
+        source, target, proj = self.source, self.target, self.proj
+        ball = source.elements() if source.is_finite else source.ball(radius)
+        if proj(source.identity) != target.identity:
+            raise GroupSpecError("quotient map does not send the identity to the identity")
         rng = Random(0)
-        pool = self.source.ball(min(self.injectivity_radius, 3)) \
-            if not self.source.is_finite else self.source.elements()
         for _ in range(64):
-            x = rng.choice(pool)
-            y = rng.choice(pool)
-            if self.proj(self.source.mul(x, y)) != \
-                    self.target.mul(self.proj(x), self.proj(y)):
+            x, y = rng.choice(ball), rng.choice(ball)
+            if proj(source.mul(x, y)) != target.mul(proj(x), proj(y)):
                 raise GroupSpecError("quotient map is not a homomorphism")
-        if not self.source.is_finite:
-            ball = self.source.ball(self.injectivity_radius)
-            if len({self.proj(x) for x in ball}) != len(ball):
-                raise GroupSpecError(
-                    f"quotient is not injective on the radius-{self.injectivity_radius} ball"
-                )
+        if len({proj(x) for x in ball}) != len(ball):
+            where = "the whole group" if source.is_finite else f"the radius-{radius} ball"
+            raise GroupSpecError(f"quotient is not injective on {where}")
 
 
 def _identity_quotient(G: GroupHandle) -> FiniteQuotient:
-    return FiniteQuotient(G, G, lambda x: x, 10**9)
+    return FiniteQuotient(G, G, lambda x: x)
 
 
 def build_quotient(G: GroupHandle, radius: int,
@@ -82,7 +78,7 @@ def build_quotient(G: GroupHandle, radius: int,
     order, and no table is built.  A quotient of more than
     ``DEFAULT_BALL_CAP`` elements is refused before anything is built.
     Any other factor needs an explicit quotient, passed to
-    ``Approximation``.
+    ``Approximation``, which verifies every quotient it maps through.
     """
     if G.is_finite:
         return _identity_quotient(G)
@@ -111,7 +107,7 @@ def build_quotient(G: GroupHandle, radius: int,
         def proj(x: tuple[int, ...]) -> tuple[int, ...]:
             return tuple([c % m for c in x])
 
-    return FiniteQuotient(G, target, proj, (m - 1) // 2)
+    return FiniteQuotient(G, target, proj)
 
 
 # ----------------------------------------------------------------------
@@ -133,14 +129,20 @@ class Window:
     h_trivial: bool  # h = e on all of F_n: not bounded by length, not drawn
     even: bool  # residuals are even
     residuals: int  # the number of residuals
-    # the residuals that follow each choice of an image, for every point
-    # but the last two, whose images the parity or the last digit fixes
-    blocks: tuple[int, ...]
 
     @property
     def size(self) -> int:
         """|F_n|."""
         return len(self.g_ball) * len(self.h_ball) * self.residuals
+
+    @functools.cached_property
+    def blocks(self) -> tuple[int, ...]:
+        """The residuals that follow each choice of an image, for every
+        point but the last two, whose images the parity or the last digit
+        fixes.  Built on the first decode, since most windows never decode."""
+        # with m points left, each image leaves (m - 1)! completions, half of them even
+        halve = 2 if self.even else 1
+        return tuple(math.factorial(m - 1) // halve for m in range(len(self.points), 2, -1))
 
 
 @functools.lru_cache(maxsize=128)
@@ -155,13 +157,10 @@ def window(ctx: PvContext, n: int) -> Window:
     points = ((BASE,) + side_points(ctx.G, "g", n)
               + side_points(ctx.H, "h", None if h_trivial else n))
     even = not ctx.mixed_symmetric
-    halve = 2 if even else 1
     c = len(points)
-    # with m points left, each image leaves (m - 1)! completions, half of them even
-    blocks = tuple(math.factorial(m - 1) // halve for m in range(c, 2, -1))
-    residuals = math.factorial(c) // (halve if c > 1 else 1)
+    residuals = math.factorial(c) // (2 if even and c > 1 else 1)
     return Window(points, frozenset(points), tuple(g_ball), tuple(h_ball), h_trivial,
-                  even, residuals, blocks)
+                  even, residuals)
 
 
 def window_points(ctx: PvContext, n: int) -> frozenset[Point]:
@@ -303,10 +302,7 @@ class Approximation:
         self.qg = quotient_g or build_quotient(ctx.G, 4 * n, modulus)
         self.qh = quotient_h or build_quotient(ctx.H, 4 * n, modulus)
         for q in (self.qg, self.qh):
-            if q.injectivity_radius < 4 * n:
-                raise GroupSpecError(
-                    f"quotient injectivity radius {q.injectivity_radius} < 4n = {4 * n}"
-                )
+            q.verify(4 * n)
         self.target = PointedUnion(self.qg.target, self.qh.target)
         self._outers: dict[tuple[Element, Element], DensePerm] = {}
         # the point projection: all of C_4n now, any other point on first use
@@ -442,24 +438,20 @@ class Approximation:
                            sample: int = 10**4, seed: int = 0):
         """Weak equivariance of the point projection against ball elements.
 
-        For x in the radius-2n ball of a factor and z in C_4n outside the
-        other factor's kernel shadow, projecting x.z equals translating
-        the projection of z by the projected x.
+        For x in the radius-2n ball of a factor and z in C_4n, projecting
+        x.z equals translating the projection of z by the projected x.
+        Both quotients are injective on the radius-4n balls, so no point
+        of C_4n but the basepoint projects to the basepoint.
         """
         ctx, index = self.ctx, self._point_images
         points = window(ctx, 4 * self.n).points
         rng = Random(seed)
-        for side, handle, q, other_q in (("g", ctx.G, self.qg, self.qh),
-                                         ("h", ctx.H, self.qh, self.qg)):
+        for side, handle, q in (("g", ctx.G, self.qg), ("h", ctx.H, self.qh)):
             ball = handle.elements() if handle.is_finite else handle.ball(2 * self.n)
-            other_side = "h" if side == "g" else "g"
             for x in _cases(mode, len(ball), lambda: ball, functools.partial(rng.choice, ball),
                             max(1, sample // len(points)), "ball elements"):
                 trans = self.target.dense_translation(side, q.proj(x))
                 for z in points:
-                    if z.side == other_side and \
-                            other_q.proj(z.payload) == other_q.target.identity:
-                        continue  # kernel shadow: projection collapses to the basepoint
                     holds = self.point_image(ctx.union.apply_factor(side, x, z)) \
                         == trans[index[z]]
                     yield None if holds else \

@@ -116,6 +116,24 @@ def _ctx(cfg: SuiteConfig) -> PvContext:
     return PvContext(parse_group(cfg.left), parse_group(cfg.right))
 
 
+def _sampled(suite: str, name: str, nominal: int, unit: str):
+    """Declare ``case(ctx, rng) -> failure text or None`` as the check
+    ``suite.name``: ``cfg.cap(nominal)`` seeded cases on the configured
+    factors, stopping at the first failure, detailed "{count} {unit}"."""
+    def register(case: Callable[[PvContext, Random], Optional[str]]):
+        @_check(suite, name)
+        def run(cfg: SuiteConfig, rng: Random):
+            ctx = _ctx(cfg)
+            count = cfg.cap(nominal)
+            for _ in range(count):
+                failure = case(ctx, rng)
+                if failure is not None:
+                    return False, failure
+            return True, f"{count} {unit}"
+        return case
+    return register
+
+
 def finite_catalog() -> dict[str, CyclicGroup | TableGroup]:
     """The finite groups used by the classification checks."""
     return {
@@ -131,28 +149,19 @@ def finite_catalog() -> dict[str, CyclicGroup | TableGroup]:
 # ----------------------------------------------------------------------
 # core suite
 
-@_check("core", "action-homomorphism")
-def _core_action_homomorphism(cfg: SuiteConfig, rng: Random):
-    ctx = _ctx(cfg)
-    count = cfg.cap(10**4)
-    for _ in range(count):
-        s1 = sample_element(ctx, rng)
-        s2 = sample_element(ctx, rng)
-        p = sample_points(ctx, rng, 1)[0]
-        if ctx.act(ctx.multiply(s1, s2), p) != ctx.act(s1, ctx.act(s2, p)):
-            return False, f"mismatch at {ctx.format_element(s1)}"
-    return True, f"{count} samples"
+@_sampled("core", "action-homomorphism", 10**4, "samples")
+def _core_action_homomorphism(ctx: PvContext, rng: Random):
+    s1 = sample_element(ctx, rng)
+    s2 = sample_element(ctx, rng)
+    p = sample_points(ctx, rng, 1)[0]
+    holds = ctx.act(ctx.multiply(s1, s2), p) == ctx.act(s1, ctx.act(s2, p))
+    return None if holds else f"mismatch at {ctx.format_element(s1)}"
 
 
-@_check("core", "residual-parity")
-def _core_residual_parity(cfg: SuiteConfig, rng: Random):
-    ctx = _ctx(cfg)
-    count = cfg.cap(2000)
-    for _ in range(count):
-        prod = ctx.multiply(sample_element(ctx, rng), sample_element(ctx, rng))
-        if not prod.a.is_even():
-            return False, ctx.format_element(prod)
-    return True, f"{count} products even"
+@_sampled("core", "residual-parity", 2000, "products even")
+def _core_residual_parity(ctx: PvContext, rng: Random):
+    prod = ctx.multiply(sample_element(ctx, rng), sample_element(ctx, rng))
+    return None if prod.a.is_even() else ctx.format_element(prod)
 
 
 @_check("core", "commutator-identity")
@@ -174,31 +183,21 @@ def _core_commutator(cfg: SuiteConfig, rng: Random):
     return True, f"{count} pairs"
 
 
-@_check("core", "inverse-law")
-def _core_inverse(cfg: SuiteConfig, rng: Random):
-    ctx = _ctx(cfg)
-    count = cfg.cap(1000)
-    for _ in range(count):
-        s = sample_element(ctx, rng)
-        if ctx.multiply(s, ctx.invert(s)) != ctx.identity:
-            return False, ctx.format_element(s)
-    return True, f"{count} elements"
+@_sampled("core", "inverse-law", 1000, "elements")
+def _core_inverse(ctx: PvContext, rng: Random):
+    s = sample_element(ctx, rng)
+    return None if ctx.multiply(s, ctx.invert(s)) == ctx.identity else ctx.format_element(s)
 
 
-@_check("core", "projection-monolith")
-def _core_projection(cfg: SuiteConfig, rng: Random):
-    ctx = _ctx(cfg)
-    count = cfg.cap(10**4)
-    for _ in range(count):
-        s1 = sample_element(ctx, rng)
-        s2 = sample_element(ctx, rng)
-        prod = ctx.multiply(s1, s2)
-        if ctx.project(prod) != (ctx.G.mul(s1.g, s2.g), ctx.H.mul(s1.h, s2.h)):
-            return False, "projection not multiplicative"
-        trivial = ctx.project(prod) == (ctx.G.identity, ctx.H.identity)
-        if ctx.in_monolith(prod) != trivial:
-            return False, "kernel characterisation failed"
-    return True, f"{count} pairs"
+@_sampled("core", "projection-monolith", 10**4, "pairs")
+def _core_projection(ctx: PvContext, rng: Random):
+    s1 = sample_element(ctx, rng)
+    s2 = sample_element(ctx, rng)
+    prod = ctx.multiply(s1, s2)
+    if ctx.project(prod) != (ctx.G.mul(s1.g, s2.g), ctx.H.mul(s1.h, s2.h)):
+        return "projection not multiplicative"
+    trivial = ctx.project(prod) == (ctx.G.identity, ctx.H.identity)
+    return None if ctx.in_monolith(prod) == trivial else "kernel characterisation failed"
 
 
 @_check("core", "pong-words")
@@ -248,36 +247,26 @@ def _finite_symmetry(cfg: SuiteConfig, rng: Random):
 # ----------------------------------------------------------------------
 # cube suite
 
-@_check("cube", "s-invariance")
-def _cube_invariance(cfg: SuiteConfig, rng: Random):
-    ctx = _ctx(cfg)
-    count = cfg.cap(1000)
-    for _ in range(count):
-        s = sample_element(ctx, rng)
-        v = sample_vertex(ctx, rng)
-        w = sample_vertex(ctx, rng)
-        sv = cubes.act_vertex(ctx, s, v)
-        sw = cubes.act_vertex(ctx, s, w)
-        if cubes.s_invariant(sv) != cubes.s_invariant(v):
-            return False, "fiber moved"
-        if cubes.distance(sv, sw) != cubes.distance(v, w):
-            return False, "distance changed"
-    return True, f"{count} samples"
+@_sampled("cube", "s-invariance", 1000, "samples")
+def _cube_invariance(ctx: PvContext, rng: Random):
+    s = sample_element(ctx, rng)
+    v = sample_vertex(ctx, rng)
+    w = sample_vertex(ctx, rng)
+    sv = cubes.act_vertex(ctx, s, v)
+    sw = cubes.act_vertex(ctx, s, w)
+    if cubes.s_invariant(sv) != cubes.s_invariant(v):
+        return "fiber moved"
+    return None if cubes.distance(sv, sw) == cubes.distance(v, w) else "distance changed"
 
 
-@_check("cube", "action-compatibility")
-def _cube_action(cfg: SuiteConfig, rng: Random):
-    ctx = _ctx(cfg)
-    count = cfg.cap(1000)
-    for _ in range(count):
-        s1 = sample_element(ctx, rng)
-        s2 = sample_element(ctx, rng)
-        v = sample_vertex(ctx, rng)
-        lhs = cubes.act_vertex(ctx, ctx.multiply(s1, s2), v)
-        rhs = cubes.act_vertex(ctx, s1, cubes.act_vertex(ctx, s2, v))
-        if lhs != rhs:
-            return False, "not an action"
-    return True, f"{count} samples"
+@_sampled("cube", "action-compatibility", 1000, "samples")
+def _cube_action(ctx: PvContext, rng: Random):
+    s1 = sample_element(ctx, rng)
+    s2 = sample_element(ctx, rng)
+    v = sample_vertex(ctx, rng)
+    lhs = cubes.act_vertex(ctx, ctx.multiply(s1, s2), v)
+    rhs = cubes.act_vertex(ctx, s1, cubes.act_vertex(ctx, s2, v))
+    return None if lhs == rhs else "not an action"
 
 
 @_check("cube", "adjacent-fixed-pair")

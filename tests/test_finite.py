@@ -127,6 +127,24 @@ def test_generators_generate_every_catalog_factor():
     assert CyclicGroup(1).generators() == []
 
 
+def test_a_table_factor_picks_its_generators_once(monkeypatch):
+    """Light's associativity test at parse time and glued_order share one
+    greedy closure per handle."""
+    picks = 0
+    original = groups.GroupHandle._pick_generators
+
+    def counting(self):
+        nonlocal picks
+        picks += 1
+        return original(self)
+
+    monkeypatch.setattr(groups.GroupHandle, "_pick_generators", counting)
+    s3 = groups.parse_group({"type": "table", "table": groups.symmetric_group_table(3)})
+    assert picks == 1
+    assert glued_order(s3, CyclicGroup(2)) == math.factorial(7)
+    assert picks == 2  # the second is Z2's
+
+
 def test_glued_order_leaves_no_reference_cycle():
     """A self-referring closure would park the engine's orbits until a
     generation-2 collection, and raise the peak memory of a run."""

@@ -34,6 +34,7 @@ from gluedprod import lef as lef_module
 from gluedprod.finite import compose_dense, identity_dense
 from gluedprod.lef import (
     Approximation,
+    FiniteQuotient,
     build_quotient,
     in_window,
     random_window_element,
@@ -49,12 +50,42 @@ def test_build_quotient_integers():
     assert q.target.order() == 9
     ball = q.source.ball(4)
     assert len({q.proj(x) for x in ball}) == len(ball)
-    assert q.injectivity_radius == 4
+    q.verify(4)
+    with pytest.raises(GroupSpecError, match="not injective on the radius-5 ball"):
+        q.verify(5)
     q17 = build_quotient(IntegersGroup(), 4, modulus=17)
     assert q17.target.order() == 17
-    assert q17.injectivity_radius == 8
+    q17.verify(8)
+    with pytest.raises(GroupSpecError, match="not injective on the radius-9 ball"):
+        q17.verify(9)
     with pytest.raises(GroupSpecError):
         build_quotient(IntegersGroup(), 4, modulus=7)
+
+
+def test_verify_checks_only_the_radius_it_is_given():
+    """A quotient of Z/10^6 verified on the radius-4 ball walks 9 elements,
+    not the radius-499999 ball its modulus would allow."""
+    tracemalloc.start()
+    try:
+        build_quotient(IntegersGroup(), 4, 10**6).verify(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
+
+
+def test_supplied_quotient_must_be_injective_on_a_finite_factor():
+    """Z/6 -> Z/3 is a homomorphism but collapses C_4n onto fewer points."""
+    z6 = CyclicGroup(6)
+    to_z3 = FiniteQuotient(z6, CyclicGroup(3), lambda x: x % 3)
+    with pytest.raises(GroupSpecError, match="^quotient is not injective on the whole group$"):
+        Approximation(PvContext(IntegersGroup(), z6), 1, quotient_h=to_z3)
+
+
+def test_supplied_quotient_must_send_the_identity_to_the_identity():
+    shifted = FiniteQuotient(IntegersGroup(), CyclicGroup(17), lambda x: (x + 1) % 17)
+    with pytest.raises(GroupSpecError, match="identity"):
+        Approximation(PvContext(IntegersGroup(), IntegersGroup()), 1, quotient_g=shifted)
 
 
 def test_build_quotient_lattice():
@@ -121,6 +152,15 @@ def test_window_elements_count(zz_fast):
     assert len(f1) == 3 * 3 * 60  # |B(1)|^2 x |Alt(5)|
     assert len(set(f1)) == len(f1)
     assert all(s.a.is_even() for s in f1)
+
+
+def test_approximation_leaves_the_c4n_radices_uncomputed():
+    """C_4n is only read for its points; radices are built on first decode."""
+    ctx = PvContext(IntegersGroup(), IntegersGroup())
+    Approximation(ctx, 1, modulus=17)
+    assert "blocks" not in window(ctx, 4).__dict__
+    window_element(ctx, 1, 0)
+    assert window(ctx, 1).blocks == (12, 3, 1)  # (m - 1)!/2 with m = 5, 4, 3 points left
 
 
 def test_window_size_is_known_before_enumeration(zz_fast):
