@@ -33,6 +33,9 @@ from .pointed import BASE, FinPerm, Point, PointedUnion, three_cycle
 
 BOTH_INFINITE = "both-infinite"
 MIXED = "mixed"
+ORDER_CAP = 10**9  # the largest element order computed
+EMBED_SAMPLES = 24  # ball elements drawn to test each factor map
+EMBED_SEED = 0
 
 Letter = tuple[str, object]  # ("G", x) | ("H", y) | ("PERM", FinPerm); x, y literals or values
 
@@ -300,10 +303,10 @@ class PvContext:
             raise RegimeError("the monolith test requires both factors infinite")
         return s.g == self.G.identity and s.h == self.H.identity
 
-    def element_order(self, s: PvElement, cap: int = 10**9) -> Optional[int]:
+    def element_order(self, s: PvElement) -> Optional[int]:
         """Exact order of an element, None when infinite.
 
-        Raises BudgetError when the order exceeds ``cap``.
+        Raises BudgetError when the order exceeds ``ORDER_CAP``.
         """
         if self.regime != BOTH_INFINITE:
             raise RegimeError("element order is computed in the both-infinite regime")
@@ -312,14 +315,14 @@ class PvContext:
         if og is None or oh is None:
             return None
         m = lcm(og, oh)
-        if m > cap:
-            raise BudgetError(f"element order exceeds cap {cap}")
+        if m > ORDER_CAP:
+            raise BudgetError(f"element order exceeds cap {ORDER_CAP}")
         residual = self.power(s, m)
         if residual.g != self.G.identity or residual.h != self.H.identity:
             raise GluedError("power of projections did not vanish")
         order = m * residual.a.order()
-        if order > cap:
-            raise BudgetError(f"element order exceeds cap {cap}")
+        if order > ORDER_CAP:
+            raise BudgetError(f"element order exceeds cap {ORDER_CAP}")
         return order
 
     def stabilizer_lift(self, h, h_prime) -> PvElement:
@@ -363,22 +366,22 @@ class PvContext:
 
 
 def embed(source: PvContext, target: PvContext,
-          g_map: Callable, h_map: Callable,
-          s: PvElement, *, samples: int = 24, rng: Optional[Random] = None) -> PvElement:
+          g_map: Callable, h_map: Callable, s: PvElement) -> PvElement:
     """Push an element along factor inclusions K -> G, L -> H.
 
     Both source factors must be infinite; the maps take element values
     to literals or values of the target, and are checked to be injective
-    homomorphisms on a sample before relabelling the normal form.  The
-    result satisfies embed(xy) = embed(x)embed(y).
+    homomorphisms on ``EMBED_SAMPLES`` seeded draws from their radius-2
+    balls before relabelling the normal form.  The result satisfies
+    embed(xy) = embed(x)embed(y).
     """
     if source.regime != BOTH_INFINITE:
         raise RegimeError("embedding is only canonical for infinite source factors")
-    rng = rng or Random(0)
+    rng = Random(EMBED_SEED)
     for handle, mapping, tgt in ((source.G, g_map, target.G),
                                  (source.H, h_map, target.H)):
         pool = handle.ball(2)
-        picks = [pool[rng.randrange(len(pool))] for _ in range(samples)]
+        picks = [pool[rng.randrange(len(pool))] for _ in range(EMBED_SAMPLES)]
         if tgt.parse(mapping(handle.identity)) != tgt.identity:
             raise MembershipError("factor map does not preserve the identity")
         images = {}

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .core import PvContext, PvElement
 from .errors import BudgetError, GroupSpecError
-from .groups import Element
+from .groups import DEFAULT_BALL_CAP, Element
 from .pointed import Point
 
 DEFAULT_WORD_CAP = 18
@@ -36,13 +36,12 @@ class PongReport:
         return self.first_collision is None and self.distinct == self.words_checked
 
 
-def free_semigroup_check(ctx: PvContext, g, h,
-                         max_len: int, cap: int = DEFAULT_WORD_CAP) -> PongReport:
+def free_semigroup_check(ctx: PvContext, g, h, max_len: int) -> PongReport:
     """Evaluate all nonempty nonnegative words in g and h up to a length.
 
     ``g`` and ``h`` are literals or values and must have infinite order;
     2^(L+1) - 2 words are reduced to normal form and compared for
-    pairwise distinctness.
+    pairwise distinctness; a length over ``DEFAULT_WORD_CAP`` is refused.
     """
     if max_len < 1:
         raise GroupSpecError(f"word length must be at least 1, got {max_len}")
@@ -52,8 +51,8 @@ def free_semigroup_check(ctx: PvContext, g, h,
         raise GroupSpecError("g must have infinite order")
     if ctx.H.element_order(h) is not None:
         raise GroupSpecError("h must have infinite order")
-    if max_len > cap:
-        raise BudgetError(f"word length {max_len} exceeds the cap of {cap}")
+    if max_len > DEFAULT_WORD_CAP:
+        raise BudgetError(f"word length {max_len} exceeds the cap of {DEFAULT_WORD_CAP}")
     letters = (("g", ctx.from_g(g)), ("h", ctx.from_h(h)))
     seen: dict[PvElement, str] = {}
     layer: list[tuple[str, PvElement]] = [("", ctx.identity)]
@@ -89,6 +88,8 @@ def folner_set(ctx: PvContext, n: int) -> FolnerSet:
     Z is Z^d with d = 1: the set is the box [-n, n]^d shifted by
     (n + 1, 0, ..., 0), so it avoids the basepoint.  Its points are
     built directly as values: coordinate tuples, or their one int on Z.
+    A box of more than ``DEFAULT_BALL_CAP`` points is refused before any
+    is built.
     """
     if n < 0:
         raise GroupSpecError(f"Folner radius must be at least 0, got {n}")
@@ -96,6 +97,8 @@ def folner_set(ctx: PvContext, n: int) -> FolnerSet:
     if G.kind not in ("integers", "lattice"):
         raise GroupSpecError(f"no Folner scheme registered for kind {G.kind!r}")
     d = G.d if G.kind == "lattice" else 1
+    if (2 * n + 1) ** d > DEFAULT_BALL_CAP:
+        raise BudgetError(f"Folner box of radius {n} in {G!r} exceeds cap {DEFAULT_BALL_CAP}")
     box = itertools.product(range(1, 2 * n + 2), *[range(-n, n + 1)] * (d - 1))
     if G.kind == "integers":  # an element of Z is an int, not a 1-tuple
         shift, values = n + 1, (c for (c,) in box)

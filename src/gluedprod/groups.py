@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from math import comb, gcd
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError, GroupSpecError
@@ -136,21 +136,23 @@ class GroupHandle:
                             frontier.append(w)
         return gens
 
-    def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[Element]:
-        """All elements of proper length <= radius, in canonical order."""
+    def _ball_size(self, radius: int) -> int:
+        """|B_radius| for radius >= 0, exact up to ``DEFAULT_BALL_CAP``;
+        past it, some number above the cap.  On a finite kind the ball is
+        the identity at radius 0 and the whole group above it."""
+        return 1 if radius == 0 else self.order()
+
+    def ball(self, radius: int) -> list[Element]:
+        """All elements of proper length <= radius, in canonical order: the
+        first ``_ball_size(radius)`` of the enumeration, refused from that
+        size before any is built when it is over ``DEFAULT_BALL_CAP``."""
         if radius < 0:
             return []
-        out: list[Element] = []
-        for x in self.enumerate_elements():
-            if self.length(x) > radius:
-                break
-            out.append(x)
-            if len(out) > cap:
-                self._refuse_ball(radius, cap)
-        return out
-
-    def _refuse_ball(self, radius: int, cap: int):
-        raise BudgetError(f"ball of radius {radius} in {self!r} exceeds cap {cap}")
+        size = self._ball_size(radius)
+        if size > DEFAULT_BALL_CAP:
+            raise BudgetError(
+                f"ball of radius {radius} in {self!r} exceeds cap {DEFAULT_BALL_CAP}")
+        return list(itertools.islice(self.enumerate_elements(), size))
 
     def element_order(self, x: Element) -> Optional[int]:
         """Least k >= 1 with x^k trivial, or None when infinite.
@@ -290,6 +292,9 @@ class IntegersGroup(GroupHandle):
     def sort_key(self, x):
         return (abs(x), 0 if x >= 0 else 1)
 
+    def _ball_size(self, radius):
+        return 2 * radius + 1
+
     def enumerate_elements(self):
         yield 0
         for k in itertools.count(1):
@@ -340,12 +345,17 @@ class LatticeGroup(GroupHandle):
     def sort_key(self, x):
         return (sum(map(abs, x)), x)
 
-    def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[Element]:
-        """Refused from its size, sum over k of 2^k C(d, k) C(radius, k),
-        before any element is built: each one holds d ints."""
-        if sum(2**k * comb(self.d, k) * comb(radius, k) for k in range(radius + 1)) > cap:
-            self._refuse_ball(radius, cap)
-        return super().ball(radius, cap)
+    def _ball_size(self, radius):
+        """The sum over k <= min(d, radius) of 2^k C(d, k) C(radius, k)
+        (k nonzero coordinates, their signs and the length split among
+        them), one term from the last."""
+        size = term = 1
+        for k in range(1, min(self.d, radius) + 1):
+            if size > DEFAULT_BALL_CAP:
+                break
+            term = term * 2 * (self.d - k + 1) * (radius - k + 1) // (k * k)
+            size += term
+        return size
 
     def _sphere(self, r: int) -> Iterator[tuple[int, ...]]:
         """The elements of length r in lexicographic order, one at a time.
@@ -455,6 +465,20 @@ class FreeGroup(GroupHandle):
 
     def sort_key(self, x):
         return (len(x), tuple(self._letter_rank[c] for c in x))
+
+    def _ball_size(self, radius):
+        """1 + the sum over j <= radius of 2k (2k - 1)^(j - 1), k the rank:
+        a first letter, then any but the inverse of the last, one sphere
+        from the last."""
+        if self.rank == 1:  # every sphere has 2 words: no sum to run
+            return 2 * radius + 1
+        size, sphere = 1, 2 * self.rank
+        for _ in range(radius):
+            if size > DEFAULT_BALL_CAP:
+                break
+            size += sphere
+            sphere *= 2 * self.rank - 1
+        return size
 
     def enumerate_elements(self):
         yield ""

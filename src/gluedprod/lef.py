@@ -49,9 +49,10 @@ class FiniteQuotient:
     def verify(self, radius: int):
         """Refuse the map unless it sends the identity to the identity, is
         a homomorphism on 64 seeded pairs, and is injective on the
-        radius ball (the whole group when the source is finite)."""
+        radius ball (the whole group when the source is finite and the
+        radius positive)."""
         source, target, proj = self.source, self.target, self.proj
-        ball = source.elements() if source.is_finite else source.ball(radius)
+        ball = source.ball(radius)
         if proj(source.identity) != target.identity:
             raise GroupSpecError("quotient map does not send the identity to the identity")
         rng = Random(0)
@@ -446,10 +447,14 @@ class Approximation:
         ctx, index = self.ctx, self._point_images
         points = window(ctx, 4 * self.n).points
         rng = Random(seed)
+        plans = []  # both sides are planned, and so budgeted, before any case runs
         for side, handle, q in (("g", ctx.G, self.qg), ("h", ctx.H, self.qh)):
-            ball = handle.elements() if handle.is_finite else handle.ball(2 * self.n)
-            for x in _cases(mode, len(ball), lambda: ball, functools.partial(rng.choice, ball),
-                            max(1, sample // len(points)), "ball elements"):
+            ball = handle.ball(2 * self.n)
+            plans.append((side, q, _cases(
+                mode, len(ball) * len(points), lambda ball=ball: ball,
+                functools.partial(rng.choice, ball), max(1, sample // len(points)), "cases")))
+        for side, q, xs in plans:
+            for x in xs:
                 trans = self.target.dense_translation(side, q.proj(x))
                 for z in points:
                     holds = self.point_image(ctx.union.apply_factor(side, x, z)) \

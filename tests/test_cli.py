@@ -123,6 +123,18 @@ def test_cube_ball_over_the_vertex_cap_is_one_error_line(capsys):
     assert err == "error: 245506 vertices exceed the cap of 100000\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("cube", "ball", "--radius", "0", "--payload-bound", "100000"),
+     "ball of radius 100000 in lattice(2) exceeds cap 1000000"),
+    (("folner", "--n", "3000", "--test", "G:1,0"),
+     "Folner box of radius 3000 in lattice(2) exceeds cap 1000000"),
+])
+def test_a_lattice_over_the_cap_is_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--left", '{"type":"lattice","d":2}')
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_cube_transport(capsys):
     code, out, _ = run_cli(
         capsys, "cube", "transport",

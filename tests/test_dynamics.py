@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gluedprod import BudgetError, GroupSpecError, IntegersGroup, LatticeGroup, Point, PvContext
+from gluedprod import dynamics
 from gluedprod.dynamics import folner_ratio, folner_set, free_semigroup_check
 
 
@@ -90,6 +91,19 @@ def test_folner_lattice_boxes():
     assert all(p.payload != ctx.G.identity for p in F.points)
     ratio = folner_ratio(ctx, F, ctx.from_g("1,0"))
     assert ratio == Fraction(2 * 3, 9)  # two displaced columns of the box
+
+
+def test_folner_box_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    z2 = PvContext(LatticeGroup(2), IntegersGroup())
+    monkeypatch.setattr(dynamics, "DEFAULT_BALL_CAP", 49)
+    assert len(folner_set(z2, 3).points) == 49
+    monkeypatch.setattr(dynamics, "DEFAULT_BALL_CAP", 48)
+    with pytest.raises(BudgetError, match="Folner box of radius 3 in lattice.2. exceeds cap 48"):
+        folner_set(z2, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(dynamics, "Point", lambda *args: pytest.fail("a point was built"))
+    with pytest.raises(BudgetError):
+        folner_set(PvContext(LatticeGroup(3), IntegersGroup()), 50)  # 101^3 points
 
 
 def test_folner_no_scheme():

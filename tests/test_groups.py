@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import re
+import time
 import tracemalloc
 from random import Random
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gluedprod import groups
 from gluedprod import (
     BASE,
     BudgetError,
@@ -23,6 +26,7 @@ from gluedprod import (
     three_cycle,
 )
 from gluedprod.groups import (
+    CyclicGroup,
     CyclicPowerGroup,
     FreeGroup,
     LatticeGroup,
@@ -195,13 +199,51 @@ def test_a_wide_lattice_ball_is_built_without_recursion():
 
 
 def test_a_lattice_ball_over_the_cap_is_refused_before_it_is_built(monkeypatch):
-    assert len(LatticeGroup(3).ball(4, cap=129)) == 129
+    monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 129)
+    assert len(LatticeGroup(3).ball(4)) == 129
+    monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 128)
     with pytest.raises(BudgetError):
-        LatticeGroup(3).ball(4, cap=128)
+        LatticeGroup(3).ball(4)
+    monkeypatch.undo()
     monkeypatch.setattr(LatticeGroup, "enumerate_elements",
                         lambda self: pytest.fail("the ball was enumerated"))
     with pytest.raises(BudgetError):
         LatticeGroup(2000).ball(2)  # 8,000,001 elements of 2000 ints each
+
+
+BALL_KINDS = [IntegersGroup(), *map(LatticeGroup, range(1, 6)), *map(FreeGroup, range(1, 4)),
+              CyclicGroup(1), CyclicGroup(6), CyclicPowerGroup(3, 2),
+              TableGroup(symmetric_group_table(3)), shifted_cyclic(4, 2)]
+
+
+@pytest.mark.parametrize("G", BALL_KINDS, ids=repr)
+def test_ball_is_the_length_filtered_enumeration(G):
+    """The first |B_r| elements of the enumeration are those of length <= r."""
+    for radius in range(-1, 7):
+        want = list(itertools.takewhile(lambda x: G.length(x) <= radius,
+                                        G.enumerate_elements()))
+        assert G.ball(radius) == want, radius
+
+
+@pytest.mark.parametrize("G, radius", [(IntegersGroup(), 10**7), (LatticeGroup(2), 10**5),
+                                       (LatticeGroup(2000), 10**6), (FreeGroup(26), 10**7),
+                                       (FreeGroup(1), 10**7)],
+                         ids=["Z", "Z^2", "Z^2000", "F_26", "F_1"])
+def test_an_over_cap_ball_is_refused_from_its_size(G, radius, monkeypatch):
+    monkeypatch.setattr(type(G), "enumerate_elements",
+                        lambda self: pytest.fail("the ball was enumerated"))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetError, match=re.escape(
+                f"ball of radius {radius} in {G!r} exceeds cap 1000000")):
+            G.ball(radius)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05
+    assert peak < 10**6
 
 
 @pytest.mark.parametrize("G, length", [(LatticeGroup(12), 6), (FreeGroup(8), 5)],
@@ -231,10 +273,11 @@ def test_ball_monotone_and_product_closure():
     assert {w for w in closure if F.length(w) <= 3} == set(F.ball(3))
 
 
-def test_ball_cap():
+def test_ball_cap(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 100)
     Z = parse_group({"type": "integers"})
     with pytest.raises(BudgetError):
-        Z.ball(10**7, cap=100)
+        Z.ball(10**7)
 
 
 def test_element_orders():

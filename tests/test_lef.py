@@ -326,6 +326,23 @@ def test_point_bijection_and_equivariance(zz_fast):
     assert report.pairs_checked > 0
 
 
+def test_exhaustive_equivariance_is_budgeted_by_its_cases():
+    approx = Approximation(PvContext(LatticeGroup(2), IntegersGroup()), 30)
+    with pytest.raises(BudgetError, match="214366201 cases exceed the budget of 10000000"):
+        approx.check_equivariance(mode="exhaustive")  # |B_60| = 7321, |C_120| = 29281
+
+
+def test_equivariance_refuses_either_side_before_any_case(monkeypatch):
+    """Z x Z^2 at n = 1: 5 x 49 cases on the G side fit a budget of 300,
+    13 x 49 on the H side do not, and no case of either side runs."""
+    approx = Approximation(PvContext(IntegersGroup(), LatticeGroup(2)), 1)
+    monkeypatch.setattr(lef_module, "PAIR_BUDGET", 300)
+    monkeypatch.setattr(approx.ctx.union, "apply_factor",
+                        lambda *args: pytest.fail("a case ran"))
+    with pytest.raises(BudgetError, match="637 cases exceed the budget of 300"):
+        approx.check_equivariance(mode="exhaustive")
+
+
 def test_pushforward_identity_sampled(zz_fast):
     approx = Approximation(zz_fast, 1, modulus=17)
     report = approx.check_pushforward(mode="sample", sample=500, seed=4)
