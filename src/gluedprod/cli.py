@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import cubes, dynamics, lef
 from .core import PvContext
 from .errors import GluedError, GroupSpecError, WordParseError
-from .finite import classify, glued_order
+from .finite import classify, full_order, glued_order
 from .groups import parse_group
 from .suites import SuiteConfig, run_suite
 
@@ -73,7 +72,7 @@ def cmd_classify(args) -> int:
     n = G.order() + H.order() - 1
     if args.verify:
         order = glued_order(G, H)
-        expected = math.factorial(n) // (1 if kind == "Sym" else 2)
+        expected = full_order(kind, n)
         if order != expected:
             print(f"{kind}({n}) MISMATCH: order {order} != {expected}")
             return 1

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
 from random import Random
 from typing import Callable, Iterable, Optional
 
@@ -261,18 +260,6 @@ class PvContext:
             out = self.multiply(letter, out)
         return out
 
-    def power(self, s: PvElement, n: int) -> PvElement:
-        if n < 0:
-            return self.power(self.invert(s), -n)
-        acc = self.identity
-        base = s
-        while n:
-            if n & 1:
-                acc = self.multiply(acc, base)
-            base = self.multiply(base, base)
-            n >>= 1
-        return acc
-
     # ------------------------------------------------------------------
     # structure maps
 
@@ -306,21 +293,16 @@ class PvContext:
     def element_order(self, s: PvElement) -> Optional[int]:
         """Exact order of an element, None when infinite.
 
-        Raises BudgetError when the order exceeds ``ORDER_CAP``.
+        ``project`` is a homomorphism onto G x H and every infinite kind
+        is torsion-free, so an element has finite order exactly when both
+        factor parts are trivial, and then it is its residual's order.
+        Raises BudgetError when that order exceeds ``ORDER_CAP``.
         """
         if self.regime != BOTH_INFINITE:
             raise RegimeError("element order is computed in the both-infinite regime")
-        og = self.G.element_order(s.g)
-        oh = self.H.element_order(s.h)
-        if og is None or oh is None:
+        if s.g != self.G.identity or s.h != self.H.identity:
             return None
-        m = lcm(og, oh)
-        if m > ORDER_CAP:
-            raise BudgetError(f"element order exceeds cap {ORDER_CAP}")
-        residual = self.power(s, m)
-        if residual.g != self.G.identity or residual.h != self.H.identity:
-            raise GluedError("power of projections did not vanish")
-        order = m * residual.a.order()
+        order = s.a.order()
         if order > ORDER_CAP:
             raise BudgetError(f"element order exceeds cap {ORDER_CAP}")
         return order

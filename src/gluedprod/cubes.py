@@ -195,7 +195,9 @@ def vertex_ball(ctx: PvContext, radius: int, payload_bound: int) -> list[CubeVer
             raise GroupSpecError(f"{what} must be at least 0, got {value}")
     g_pool = (BASE,) + side_points(ctx.G, "g", payload_bound)
     h_pool = side_points(ctx.H, "h", payload_bound)
-    # a vertex is a choice of at most ``radius`` ledger points from both pools
+    # a vertex is a choice of at most ``radius`` ledger points from both
+    # pools, so a radius past their size adds no vertex
+    radius = min(radius, len(g_pool) + len(h_pool))
     count = sum(math.comb(len(g_pool) + len(h_pool), t) for t in range(radius + 1))
     if count > BALL_VERTEX_CAP:
         raise BudgetError(f"{count} vertices exceed the cap of {BALL_VERTEX_CAP}")

@@ -3,13 +3,13 @@
 When both factors are finite the glued product is a subgroup of the
 symmetric group on |G| + |H| - 1 points, and it is the full symmetric
 group exactly when one factor has a nontrivial cyclic 2-Sylow subgroup,
-the alternating group otherwise.  The classification is implemented via
-the element-order valuation criterion and verified independently by the
-incremental Schreier-Sims order engine of ``groups``.  That engine is
-given only the translations T_s for s in a greedy generating set of
-each factor (``GroupHandle.generators``).  Since x -> T_x is a
-homomorphism, they generate the whole glued product, and 31 points
-take 0.04 s.
+the alternating group otherwise.  A factor has one exactly when some
+regular translation of it is odd, which is how ``classify`` decides,
+and the incremental Schreier-Sims order engine of ``groups`` verifies
+it independently.  That engine is given only the translations T_s for
+s in a greedy generating set of each factor
+(``GroupHandle.generators``).  Since x -> T_x is a homomorphism, they
+generate the whole glued product, and 31 points take 0.04 s.
 """
 
 from __future__ import annotations
@@ -18,22 +18,8 @@ import math
 from typing import Sequence
 
 from .errors import GroupSpecError
-# the dense operations live beside the order engine and are re-exported here
-from .groups import (
-    DensePerm,
-    Element,
-    GroupHandle,
-    check_point_cap,
-    compose_dense,
-    inverse_dense,
-    parity_dense,
-    schreier_sims_order,
-)
+from .groups import DensePerm, Element, GroupHandle, check_point_cap, schreier_sims_order
 from .pointed import PointedUnion
-
-
-def identity_dense(n: int) -> DensePerm:
-    return tuple(range(n))
 
 
 def realize_finite(G: GroupHandle, H: GroupHandle,
@@ -58,39 +44,32 @@ def realize_finite(G: GroupHandle, H: GroupHandle,
             + [union.dense_translation("h", y) for y in gen_h])
 
 
+def _odd_translation(k: int, n: int) -> bool:
+    """Whether the translation by an element of order k in a group of
+    order n is odd: it is n/k cycles of length k."""
+    return k % 2 == 0 and (n // k) % 2 == 1
+
+
 def translation_sign(G: GroupHandle, g: str) -> int:
-    """Sign of the regular translation by g: (-1)^((|G|/k)(k-1)) for k = order(g)."""
+    """Sign of the regular translation by g: -1 when it is odd."""
     if not G.is_finite:
         raise GroupSpecError("translation sign needs a finite group")
-    k = G.element_order(G.parse(g))
-    exponent = (G.order() // k) * (k - 1)
-    return -1 if exponent % 2 else 1
+    return -1 if _odd_translation(G.element_order(G.parse(g)), G.order()) else 1
 
 
 def has_cyclic_two_sylow(G: GroupHandle) -> bool:
     """Whether a finite group has a nontrivial cyclic 2-Sylow subgroup.
 
-    Equivalent to having an element of even order whose 2-adic valuation
-    matches that of the group order; infinite handles report False.
+    That is, whether some regular translation is odd: an element of order
+    k with |G|/k odd generates a cyclic group holding a 2-Sylow, and a
+    generator of a cyclic 2-Sylow is such an element.  Infinite handles
+    and odd orders report False before any element is read; otherwise
+    the elements are read lazily up to the first odd translation.
     """
-    if not G.is_finite:
+    n = G.order()
+    if n is None or n % 2:
         return False
-    target = _two_valuation(G.order())
-    if target == 0:
-        return False
-    for x in G.elements():
-        k = G.element_order(x)
-        if k % 2 == 0 and _two_valuation(k) == target:
-            return True
-    return False
-
-
-def _two_valuation(n: int) -> int:
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
+    return any(_odd_translation(G.element_order(x), n) for x in G.enumerate_elements())
 
 
 def classify(G: GroupHandle, H: GroupHandle) -> str:
@@ -119,10 +98,12 @@ def glued_order(G: GroupHandle, H: GroupHandle) -> int:
     return schreier_sims_order(realize_finite(G, H, (G.generators(), H.generators())))
 
 
+def full_order(kind: str, n: int) -> int:
+    """The order of Sym(n) or Alt(n), for ``kind`` "Sym" or "Alt"."""
+    return math.factorial(n) // (1 if kind == "Sym" else 2)
+
+
 def verify_classification(G: GroupHandle, H: GroupHandle) -> bool:
     """Check the Alt/Sym classification against the exact group order."""
     n = G.order() + H.order() - 1
-    expected = math.factorial(n)
-    if classify(G, H) == "Alt":
-        expected //= 2
-    return glued_order(G, H) == expected
+    return glued_order(G, H) == full_order(classify(G, H), n)

@@ -23,14 +23,16 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .core import MIXED, PvContext, PvElement
 from .errors import BudgetError, GroupSpecError, MembershipError
-from .finite import DensePerm, compose_dense, parity_dense
 from .groups import (
     DEFAULT_BALL_CAP,
     CyclicGroup,
     CyclicPowerGroup,
+    DensePerm,
     Element,
     GroupHandle,
+    compose_dense,
     format_value,
+    parity_dense,
 )
 from .pointed import BASE, FinPerm, Point, PointedUnion, random_perm, side_points
 

@@ -160,6 +160,9 @@ def _core_action_homomorphism(ctx: PvContext, rng: Random):
 
 @_sampled("core", "residual-parity", 2000, "products even")
 def _core_residual_parity(ctx: PvContext, rng: Random):
+    if ctx.mixed_symmetric:
+        raise RegimeError("odd residuals are elements: the finite factor has a "
+                          "nontrivial cyclic 2-Sylow")
     prod = ctx.multiply(sample_element(ctx, rng), sample_element(ctx, rng))
     return None if prod.a.is_even() else ctx.format_element(prod)
 

@@ -346,6 +346,19 @@ def test_suite_reports_inapplicable_checks_as_skipped(capsys):
     assert all(r["skipped"] is True for r in records)
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--right", '{"type":"cyclic","n":2}'],
+     "skip core.residual-parity  odd residuals are elements: the finite factor "
+     "has a nontrivial cyclic 2-Sylow"),
+    (["--right", '{"type":"cyclic","n":3}'], "ok   core.residual-parity  2000 products even"),
+    ([], "ok   core.residual-parity  2000 products even"),
+])
+def test_residual_parity_applies_only_where_residuals_are_even(capsys, argv, line):
+    code, out, _ = run_cli(capsys, "suite", "core", "--seed", "42",
+                           "--only", "residual-parity", *argv)
+    assert (code, out) == (0, line + "\n")
+
+
 def test_suite_only_runs_just_the_named_check(capsys, monkeypatch):
     from gluedprod import suites
 

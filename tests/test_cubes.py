@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from random import Random
 
 import pytest
@@ -205,6 +206,16 @@ def test_vertex_ball_size_is_capped_before_enumeration(zz_fast, monkeypatch):
     monkeypatch.setattr(CubeVertex, "__init__", built)
     with pytest.raises(BudgetError, match="245506 vertices exceed the cap of 100000"):
         vertex_ball(zz_fast, 6, 6)
+
+
+def test_vertex_ball_radius_past_the_pools_adds_nothing(zz_fast):
+    # 5 ledger points at payload bound 1, so every radius from 5 on is the
+    # whole power set
+    start = time.perf_counter()
+    vertices = vertex_ball(zz_fast, 10**6, 1)
+    assert time.perf_counter() - start < 0.05
+    assert len(vertices) == 32
+    assert vertices == vertex_ball(zz_fast, 5, 1)
 
 
 def test_growth_witness(zz_fast):

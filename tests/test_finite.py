@@ -5,22 +5,30 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gluedprod import CyclicGroup, GroupSpecError, PointedUnion, groups, schreier_sims_order
+from gluedprod import (
+    CyclicGroup,
+    GroupSpecError,
+    IntegersGroup,
+    PointedUnion,
+    PvContext,
+    groups,
+    schreier_sims_order,
+)
 from gluedprod.finite import (
     classify,
-    compose_dense,
     glued_order,
     has_cyclic_two_sylow,
-    parity_dense,
     realize_finite,
     translation_sign,
     verify_classification,
 )
+from gluedprod.groups import compose_dense, parity_dense
 
 from conftest import finite_catalog, mulclose
 
@@ -69,6 +77,30 @@ def test_cyclic_two_sylow_criterion():
     assert not has_cyclic_two_sylow(catalog["Z3"])
     assert not has_cyclic_two_sylow(catalog["Z5"])
     assert not has_cyclic_two_sylow(catalog["V4"])
+
+
+@pytest.mark.parametrize("G", [CyclicGroup(n) for n in range(1, 65)]
+                         + list(finite_catalog().values()), ids=repr)
+def test_cyclic_two_sylow_against_odd_translations(G):
+    """Oracle: some translation, as a dense permutation, is odd."""
+    union = PointedUnion(G, CyclicGroup(2))
+    odd = any(parity_dense(union.dense_translation("g", x)) for x in G.elements())
+    assert has_cyclic_two_sylow(G) == odd
+
+
+def test_cyclic_two_sylow_reads_elements_lazily(monkeypatch):
+    def refuse(self):
+        raise AssertionError("elements() was built")
+
+    monkeypatch.setattr(groups.GroupHandle, "elements", refuse)
+    tracemalloc.start()
+    try:
+        ctx = PvContext(IntegersGroup(), CyclicGroup(2 * 10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.mixed_symmetric
+    assert peak < 2**20
 
 
 def test_classify_examples():

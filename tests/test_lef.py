@@ -31,7 +31,7 @@ from gluedprod import (
     transposition,
 )
 from gluedprod import lef as lef_module
-from gluedprod.finite import compose_dense, identity_dense
+from gluedprod.groups import compose_dense
 from gluedprod.lef import (
     Approximation,
     FiniteQuotient,
@@ -43,6 +43,10 @@ from gluedprod.lef import (
     window_elements,
     window_points,
 )
+
+
+def identity_dense(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
 
 
 def test_build_quotient_integers():

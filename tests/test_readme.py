@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -47,3 +48,33 @@ def test_the_quick_tour_has_the_commands_it_documents():
 def test_quick_tour_command_prints_its_comment(command, expected, capsys):
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == expected + "\n"
+
+
+def budgets() -> list[tuple[str, str, int]]:
+    """(lead, ``module.NAME``, stated value) for each entry of the README's
+    "Budgets" list that cites a constant, the value read from the first
+    number of its bold lead (``10^6`` or ``64``)."""
+    text = README.read_text()
+    section = text[text.index("## Budgets"):]
+    section = section[:section.index("\n## ", 1)]
+    out = []
+    for entry in section.split("\n- ")[1:]:
+        lead = re.match(r"\*\*(.*?)\*\*", entry).group(1)
+        cited = re.search(r"`(\w+\.[A-Z_]+)`", entry)
+        if cited:
+            base, power = re.search(r"(\d+)(?:\^(\d+))?", lead).groups()
+            out.append((lead, cited.group(1), int(base) ** int(power or 1)))
+    return out
+
+
+BUDGETS = budgets()
+
+
+def test_the_budgets_list_cites_every_capped_constant():
+    assert [value for _, _, value in BUDGETS] == [10**6, 10**5, 10**7, 64, 18, 10**9]
+
+
+@pytest.mark.parametrize("lead, name, value", BUDGETS, ids=[name for _, name, _ in BUDGETS])
+def test_budget_entry_states_its_constant(lead, name, value):
+    module, constant = name.split(".")
+    assert getattr(importlib.import_module(f"gluedprod.{module}"), constant) == value, lead
