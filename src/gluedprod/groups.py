@@ -17,9 +17,10 @@ element literal into its value, and ``format_value`` is the one
 formatter back: an ``int`` as decimal, a tuple comma-joined, a word as
 itself, e.g. ``"-3"``, ``"1,-2"``, ``"aB"``.
 
-Each handle also fixes a proper length (0/1 on finite kinds, word or
-l1 length on infinite ones) and a canonical enumeration order used for
-balls and for deterministic serialisation.
+Each handle also fixes a proper length and a canonical enumeration
+order, used for balls, serialisation and the dense numbering of a
+finite pointed union.  Infinite kinds state both; a finite kind states
+only its enumeration and inherits the 0/1 length and sort key.
 """
 
 from __future__ import annotations
@@ -84,12 +85,14 @@ class GroupHandle:
         raise NotImplementedError
 
     def length(self, x: Element) -> int:
-        """The declared proper length of ``x``."""
-        raise NotImplementedError
+        """The declared proper length of ``x``; the finite-kind default
+        is 0 at the identity and 1 elsewhere."""
+        return 0 if x == self.identity else 1
 
     def sort_key(self, x: Element):
-        """Key realising the canonical enumeration order."""
-        raise NotImplementedError
+        """Key realising the canonical enumeration order; the finite-kind
+        default is the identity first, then the others in increasing order."""
+        return (x != self.identity, x)
 
     def enumerate_elements(self) -> Iterator[Element]:
         """All elements in canonical order, identity first.
@@ -202,12 +205,6 @@ class CyclicGroup(GroupHandle):
     def is_canonical(self, x):
         return type(x) is int and 0 <= x < self.n
 
-    def length(self, x):
-        return 0 if x == 0 else 1
-
-    def sort_key(self, x):
-        return (x,)
-
     def enumerate_elements(self):
         return iter(range(self.n))
 
@@ -248,12 +245,6 @@ class CyclicPowerGroup(GroupHandle):
     def inv(self, a):
         m = self.m
         return tuple([-x % m for x in a])
-
-    def length(self, x):
-        return 0 if x == self.identity else 1
-
-    def sort_key(self, x):
-        return x
 
     def enumerate_elements(self):
         return itertools.product(range(self.m), repeat=self.d)
@@ -577,12 +568,6 @@ class TableGroup(GroupHandle):
 
     def is_canonical(self, x):
         return type(x) is int and 0 <= x < self.n
-
-    def length(self, x):
-        return 0 if x == self.identity else 1
-
-    def sort_key(self, x):
-        return (x,)
 
     def enumerate_elements(self):
         yield self.identity

@@ -129,7 +129,7 @@ class Window:
     point_set: frozenset[Point]  # C_n as a set
     g_ball: tuple[Element, ...]
     h_ball: tuple[Element, ...]
-    h_trivial: bool  # h = e on all of F_n: not bounded by length, not drawn
+    h_trivial: bool  # h = e on all of F_n, so h is not drawn
     even: bool  # residuals are even
     residuals: int  # the number of residuals
 
@@ -176,7 +176,7 @@ def in_window(ctx: PvContext, s: PvElement, n: int) -> bool:
     w = window(ctx, n)
     if ctx.G.length(s.g) > n:
         return False
-    if not w.h_trivial and ctx.H.length(s.h) > n:
+    if ctx.H.length(s.h) > n:
         return False
     if not s.a.support() <= w.point_set:
         return False
@@ -321,9 +321,10 @@ class Approximation:
         """The set-theoretic projection onto the finite pointed union."""
         image = self._point_images.get(p)
         if image is None:
-            q = self.qg if p.side == "g" else self.qh
-            projected = p if p == BASE else self.target.point(p.side, q.proj(p.payload))
-            image = self._point_images[p] = self.target.index[projected]
+            side, x = p
+            q = self.qg if side == "g" else self.qh
+            image = self._point_images[p] = \
+                0 if side == "e" else self.target.positions[side][q.proj(x)]
         return image
 
     def phi(self, s: PvElement) -> DensePerm:

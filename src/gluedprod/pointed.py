@@ -321,19 +321,20 @@ class PointedUnion:
         from the positions of the side's elements and kept with the union."""
         cached = self._dense_translations.get((side, x))
         if cached is None:
-            mul, position = self.handle(side).mul, self._positions[side]
-            images = list(range(len(self.points)))
+            mul, position = self.handle(side).mul, self.positions[side]
+            images = list(range(self.G.order() + self.H.order() - 1))
             for y, i in position.items():
                 images[i] = position[mul(x, y)]
             cached = self._dense_translations[side, x] = tuple(images)
         return cached
 
     @cached_property
-    def _positions(self) -> dict[str, dict[Element, int]]:
-        """The position in ``points`` of each element's point, per side."""
-        index = self.index
-        return {side: {y: index[self.point(side, y)] for y in handle.elements()}
-                for side, handle in self._sides.items()}
+    def positions(self) -> dict[str, dict[Element, int]]:
+        """The position in ``points`` of each element's point, per side, read
+        off its enumeration: the identity 0, G's k-th element k, H's |G| - 1 + k."""
+        g, h = self.G.elements(), self.H.elements()
+        return {"g": {x: k for k, x in enumerate(g)},
+                "h": {y: k + len(g) - 1 if k else 0 for k, y in enumerate(h)}}
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -341,17 +342,17 @@ class PointedUnion:
         the G side, then the H side, each in canonical order."""
         return (BASE,) + side_points(self.G, "g") + side_points(self.H, "h")
 
-    @cached_property
-    def index(self) -> dict[Point, int]:
-        """The position of each point in ``points``."""
-        return {p: i for i, p in enumerate(self.points)}
+    def position(self, p: Point) -> int:
+        """The position of ``p`` in ``points``."""
+        side, x = p
+        return 0 if side == "e" else self.positions[side][x]
 
     def dense(self, a: FinPerm) -> DensePerm:
         """``a`` as the tuple of image positions over ``points``."""
-        index = self.index
-        images = list(range(len(index)))
+        position = self.position
+        images = list(range(self.G.order() + self.H.order() - 1))
         for p, q in a.items():
-            images[index[p]] = index[q]
+            images[position(p)] = position(q)
         return tuple(images)
 
     def sort_key(self, p: Point):

@@ -173,6 +173,8 @@ def _core_commutator(cfg: SuiteConfig, rng: Random):
     count = cfg.cap(1000)
     pool_g = [x for x in ctx.G.ball(6) if x != ctx.G.identity]
     pool_h = [y for y in ctx.H.ball(6) if y != ctx.H.identity]
+    if not (pool_g and pool_h):
+        raise GroupSpecError("a factor has no non-identity element")
     for _ in range(count):
         g = rng.choice(pool_g)
         h = rng.choice(pool_h)
@@ -252,6 +254,7 @@ def _finite_symmetry(cfg: SuiteConfig, rng: Random):
 
 @_sampled("cube", "s-invariance", 1000, "samples")
 def _cube_invariance(ctx: PvContext, rng: Random):
+    cubes._require_both_infinite(ctx)
     s = sample_element(ctx, rng)
     v = sample_vertex(ctx, rng)
     w = sample_vertex(ctx, rng)
@@ -264,6 +267,7 @@ def _cube_invariance(ctx: PvContext, rng: Random):
 
 @_sampled("cube", "action-compatibility", 1000, "samples")
 def _cube_action(ctx: PvContext, rng: Random):
+    cubes._require_both_infinite(ctx)
     s1 = sample_element(ctx, rng)
     s2 = sample_element(ctx, rng)
     v = sample_vertex(ctx, rng)
@@ -298,6 +302,7 @@ def _cube_growth(cfg: SuiteConfig, rng: Random):
 @_check("cube", "transporter")
 def _cube_transporter(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
+    cubes._require_both_infinite(ctx)
     same = cross = 0
     target = cfg.cap(100)
     while same < target or cross < target:
@@ -374,6 +379,8 @@ def _dynamics_folner(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
     # a unit translation displaces two boundary slabs of the interval/box
     gen_g = cubes.first_infinite_order(ctx.G, span=1)
+    if ctx.H.order() == 1:
+        raise GroupSpecError("the H factor has no non-identity element")
     gen_h = next(y for y in ctx.H.ball(1) if y != ctx.H.identity)
     for n in range(1, 101):
         F = dynamics.folner_set(ctx, n)

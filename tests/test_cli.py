@@ -503,6 +503,34 @@ def test_suite_all_output_is_pinned(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == SUITE_ALL_DIGEST
 
 
+@pytest.mark.parametrize("spec", ['{"type":"cyclic","n":1}', '{"type":"table","table":[[0]]}'])
+def test_suite_all_skips_what_a_trivial_factor_cannot_sample(capsys, monkeypatch, spec):
+    """With a trivial right factor the commutator and Folner checks have no
+    element to draw, and the cube checks refuse the mixed context before
+    they draw a vertex: each is skipped, none raises."""
+    monkeypatch.delenv("PV_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, "suite", "all", "--right", spec)
+    assert code == 0 and "Traceback" not in err
+    skipped = {line.split()[1] for line in out.splitlines() if line.startswith("skip ")}
+    assert {"core.commutator-identity", "cube.s-invariance", "cube.action-compatibility",
+            "cube.transporter", "dynamics.folner-ratios"} <= skipped
+
+
+# SHA-256 of `gluedprod suite all --seed 7 --right '{"type":"cyclic","n":3}'`,
+# recorded before the cube checks refused a mixed context ahead of drawing
+MIXED_SUITE_ALL_DIGEST = "48b254fce8d8ea346b8020943113d38b25f1d382b9d9640178a3fabf8be6ca31"
+
+
+def test_mixed_suite_all_output_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("PV_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, "suite", "all", "--seed", "7",
+                           "--right", '{"type":"cyclic","n":3}')
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MIXED_SUITE_ALL_DIGEST
+    for name in ("s-invariance", "action-compatibility", "transporter"):
+        assert f"skip cube.{name}  the cubical complex is built over two infinite factors\n" in out
+
+
 # SHA-256 of `PV_BUDGET=300 gluedprod suite lef --seed 5` on two lattice
 # factors, recorded when sample mode still built all 4,536,000 elements of
 # F_1, over every line but the two mixed injectivity ones, which then drew

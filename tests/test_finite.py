@@ -216,6 +216,19 @@ def test_glued_order_at_31_points():
     assert glued_order(CyclicGroup(16), CyclicGroup(16)) == math.factorial(31)
 
 
+def test_one_bracketing_of_an_iterated_product_at_the_point_cap():
+    """(C3 glued C3) glued C5: C3 glued C3 is Alt(5), whose 60 elements
+    and C5 make 64 points, the order engine's cap.  The other bracketing,
+    C3 glued Alt(7), has 2,522 points."""
+    alt5 = sorted(mulclose(realize_finite(CyclicGroup(3), CyclicGroup(3))))
+    assert len(alt5) == 60
+    position = {p: i for i, p in enumerate(alt5)}
+    A5 = groups.TableGroup([[position[compose_dense(p, q)] for q in alt5] for p in alt5])
+    assert A5.order() + 5 - 1 == groups.POINT_CAP
+    assert classify(A5, CyclicGroup(5)) == "Alt"
+    assert glued_order(A5, CyclicGroup(5)) == math.factorial(64) // 2
+
+
 def test_compose_dense_convention():
     p = (1, 0, 2)
     q = (0, 2, 1)

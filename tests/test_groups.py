@@ -453,6 +453,19 @@ def test_enumeration_matches_sort_key():
         assert len(set(first)) == len(first)
 
 
+@pytest.mark.parametrize("G", [CyclicGroup(6), CyclicPowerGroup(3, 2),
+                               TableGroup(symmetric_group_table(3)), shifted_cyclic(4, 2)],
+                         ids=repr)
+def test_a_finite_kind_inherits_the_order_of_its_enumeration(G):
+    """The inherited sort key realises the enumeration, and the inherited
+    length is 0 at the identity only; the shifted table's identity is 2,
+    so its enumeration is 2, 0, 1, 3."""
+    elements = G.elements()
+    assert elements == sorted(elements, key=G.sort_key)
+    assert elements[0] == G.identity
+    assert [G.length(x) for x in elements] == [0] + [1] * (len(elements) - 1)
+
+
 FIVE_KINDS = [
     {"type": "integers"},
     {"type": "cyclic", "n": 5},

@@ -250,7 +250,7 @@ def test_phi_matches_the_double_composition(setup):
     union = approx.target
 
     def pushforward(a):
-        images = list(range(len(union.index)))
+        images = list(range(len(union.points)))
         for p, q in a.items():
             images[approx.point_image(p)] = approx.point_image(q)
         return tuple(images)
@@ -596,7 +596,7 @@ def test_point_projection_fills_points_outside_the_window_on_first_use(zz_fast):
     far = Point("g", 6)
     assert far not in window(zz_fast, 4).point_set
     assert far not in approx._point_images
-    projected = approx.target.index[approx.target.point("g", 6)]
+    projected = approx.target.points.index(approx.target.point("g", 6))
     assert approx.point_image(far) == approx._point_images[far] == projected
     assert approx.point_image(Point("g", -11)) == projected
 

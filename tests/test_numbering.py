@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from random import Random
 
 import pytest
@@ -87,7 +88,8 @@ def test_points_are_the_basepoint_then_each_side_in_canonical_order(G, H):
     others += [union.point("h", y) for y in H.elements()]
     assert union.points == (BASE,) + tuple(union.sorted_points(set(others) - {BASE}))
     assert len(union.points) == G.order() + H.order() - 1
-    assert [union.index[p] for p in union.points] == list(range(len(union.points)))
+    assert [union.position(p) for p in union.points] \
+        == [union.points.index(p) for p in union.points] == list(range(len(union.points)))
 
 
 def test_dense_translation_is_the_index_of_the_product():
@@ -99,9 +101,20 @@ def test_dense_translation_is_the_index_of_the_product():
             direct = list(range(len(union.points)))
             for y in handle.elements():
                 target = union.point(side, handle.mul(x, y))
-                direct[union.index[union.point(side, y)]] = union.index[target]
+                direct[union.points.index(union.point(side, y))] = union.points.index(target)
             assert union.dense(union.translation(side, x)) == tuple(direct)
             assert union.dense_translation(side, x) == tuple(direct)
+
+
+def test_an_approximation_and_an_order_number_points_without_building_them(monkeypatch):
+    """The target of an Approximation, and the union glued_order realises,
+    read positions off each side's enumeration; ``points`` is never built."""
+    monkeypatch.setattr(PointedUnion, "points",
+                        property(lambda self: pytest.fail("the union's points were built")))
+    approx = Approximation(PvContext(IntegersGroup(), IntegersGroup()), 1, modulus=17)
+    reports = approx.check_pairs(mode="sample", sample=20, seed=3)
+    assert [(r.pairs_checked, r.ok) for r in reports] == [(20, True), (20, True)]
+    assert finite.glued_order(CyclicGroup(9), CyclicGroup(10)) == math.factorial(18)
 
 
 def test_realize_finite_rejects_an_infinite_factor_before_building(monkeypatch):
