@@ -28,7 +28,7 @@ from .errors import (
 )
 from .finite import has_cyclic_two_sylow
 from .groups import Element, GroupHandle, format_value
-from .pointed import BASE, FinPerm, Point, PointedUnion, three_cycle
+from .pointed import BASE, FinPerm, Point, PointedUnion, compose_left, three_cycle
 
 BOTH_INFINITE = "both-infinite"
 MIXED = "mixed"
@@ -151,25 +151,18 @@ class PvContext:
     # ------------------------------------------------------------------
     # product law
 
-    def _transport(self, a: FinPerm, g_inv, h_inv) -> FinPerm:
-        """t a t^-1 for the translation t: p -> h_inv . (g_inv . p), where a
-        None part is skipped.  Each support point is translated once, and
-        a factor part is not applied to a point of the other side, which
-        it fixes."""
-        apply = self.union.apply_factor
-        image = {}
-        for p, _ in a.items():
-            q = p if g_inv is None or p[0] == "h" else apply("g", g_inv, p)
-            image[p] = q if h_inv is None or q[0] == "g" else apply("h", h_inv, q)
-        return FinPerm._trusted({image[p]: image[q] for p, q in a.items()})
-
     def multiply(self, s1: PvElement, s2: PvElement) -> PvElement:
-        """Canonical form of the product s1 * s2.
+        """Canonical form of the product s1 * s2: the product formula.
 
-        The residual is the commutator 3-cycle of the two inner letters,
-        conjugated into place, times the transported first residual,
-        times the second residual.  Identity parts cost nothing: no
-        group operation runs on them and no translation applies them.
+        With T_x the translation by a factor value x, s1 * s2 acts as
+        T_g1 T_h1 a1 T_g2 T_h2 a2 = T_g1g2 T_h1h2 c (t a1 t^-1) a2, where
+        t = T_h2^-1 T_g2^-1 transports the first residual and c is the
+        commutator 3-cycle (e h1^-1 g2^-1) of h1 past g2, moved by
+        h2^-1.  So s2's residual is copied once, mapping and inverse,
+        and the transported a1 and then c are composed onto that copy
+        in place, from the left: each step patches only its own few
+        points.  Identity parts cost nothing: no group operation runs
+        on them and no translation applies them.
         """
         G, H = self.G, self.H
         eg, eh = G.identity, H.identity
@@ -179,40 +172,64 @@ class PvContext:
         h = h2 if h1 == eh else h1 if h2 == eh else H.mul(h1, h2)
 
         commutes = h1 == eh or g2 == eg
-        t2 = a1
+        a = a2
         if a1 or not commutes:
             g2i = G.inv(g2) if g2 != eg else None
             h2i = H.inv(h2) if h2 != eh else None
-            if a1 and (g2i is not None or h2i is not None):
-                t2 = self._transport(a1, g2i, h2i)
-            if not commutes:
-                # the 3-cycle (e h1^-1 g2^-1), moved by h2^-1 when h2 is not e;
-                # h1 and g2 are not e, so its three points differ, and h2^-1
-                # fixes the g-side point
-                e = BASE
-                hp = tuple.__new__(Point, ("h", H.inv(h1)))
-                gp = tuple.__new__(Point, ("g", g2i))
-                if h2i is not None:
+            moved, inv = a2.maps()
+            if a1:
+                pairs = a1.items()
+                if g2i is not None or h2i is not None:
+                    # each support point is translated once, and a factor
+                    # part is not applied to a point of the other side,
+                    # which it fixes
                     apply = self.union.apply_factor
-                    e, hp = apply("h", h2i, e), apply("h", h2i, hp)
-                t1 = FinPerm._trusted({e: hp, hp: gp, gp: e}, {hp: e, gp: hp, e: gp})
-                t2 = t1.compose(t2)
-            a2 = t2.compose(a2)
-        out = PvElement(g, h, a2)
+                    image = {}
+                    for p, _ in pairs:
+                        q = p if g2i is None or p[0] == "h" else apply("g", g2i, p)
+                        image[p] = q if h2i is None or q[0] == "g" else apply("h", h2i, q)
+                    pairs = [(image[p], image[q]) for p, q in pairs]
+                compose_left(moved, inv, pairs)
+            if not commutes:
+                self._compose_commutator(moved, inv, h1, g2i, h2i)
+            a = FinPerm._trusted(moved, inv)
+        out = PvElement(g, h, a)
         if self.check:
-            self._verify_product(s1, s2, out, t2)
+            self._verify_product(s1, s2, out)
         return out
 
-    def _verify_product(self, s1: PvElement, s2: PvElement,
-                        out: PvElement, transported: FinPerm):
+    def _compose_commutator(self, moved: dict, inv: dict, h1, g2i, h2i) -> None:
+        """Compose the 3-cycle (e h1^-1 g2^-1), moved by h2^-1 unless
+        ``h2i`` is None, onto a mapping and its inverse, in place, from
+        the left.  h1 and g2 are not e, so its three points differ, and
+        h2^-1 fixes the g-side point."""
+        e = BASE
+        hp = tuple.__new__(Point, ("h", self.H.inv(h1)))
+        gp = tuple.__new__(Point, ("g", g2i))
+        if h2i is not None:
+            apply = self.union.apply_factor
+            e, hp = apply("h", h2i, e), apply("h", h2i, hp)
+        compose_left(moved, inv, ((e, hp), (hp, gp), (gp, e)))
+
+    def _verify_product(self, s1: PvElement, s2: PvElement, out: PvElement):
+        """Compare ``out`` with the action of s1 then s2 at a finite probe set.
+
+        Lemma: with the factor parts g1 g2 and h1 h2, ``out`` and s1 * s2
+        act as T_g T_h a and T_g T_h a', with a' = c (t a1 t^-1) a2 as in
+        ``multiply``; so they differ exactly where a and a' do, and that
+        set lies in supp(a) | supp(a').  supp(a') lies in supp(a2), in
+        t(supp(a1)), the transported residual's support, and in the three
+        points of c: T_h2^-1(e), T_h2^-1(h:h1^-1) and g:g2^-1.  Every one
+        of those is a probe, so a wrong residual is caught; the points are
+        tried in canonical order and the least mismatch is reported.
+        """
         G, H, pu = self.G, self.H, self.union
-        probes = set(s1.a.support()) | set(s2.a.support()) | set(out.a.support())
-        probes |= set(transported.support())
-        probes.add(BASE)
-        probes.add(pu.g_point(G.inv(s2.g)))
-        probes.add(pu.h_point(H.inv(s1.h)))
-        probes.add(pu.h_point(H.mul(H.inv(s2.h), H.inv(s1.h))))
-        for p in probes:
+        g2i, h2i, h1i = G.inv(s2.g), H.inv(s2.h), H.inv(s1.h)
+        probes = set(s2.a.support()) | set(out.a.support())
+        probes |= {pu.apply_factor("h", h2i, pu.apply_factor("g", g2i, p))
+                   for p in s1.a.support()}
+        probes |= {pu.h_point(h2i), pu.h_point(H.mul(h2i, h1i)), pu.g_point(g2i)}
+        for p in pu.sorted_points(probes):
             if self.act(out, p) != self.act(s1, self.act(s2, p)):
                 raise GluedError(
                     f"product law mismatch at {pu.format_point(p)} for "
@@ -239,7 +256,7 @@ class PvContext:
         The letters are built left to right, so the first bad letter is
         the one reported, and the product is folded from the right.
         ``multiply(s1, s2)`` transports ``s1.a`` through the factor parts
-        of ``s2`` point by point but only composes ``s2.a``; with the
+        of ``s2`` point by point but only copies ``s2.a``; with the
         single letter on the left, each step moves at most that letter's
         few residual points instead of the whole accumulated residual,
         so a word of L letters costs O(L) group operations, not O(L^2).

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
@@ -406,7 +407,13 @@ class FreeGroup(GroupHandle):
         self.letters = []
         for c in _FREE_ALPHABET[:rank]:
             self.letters.extend([c, c.upper()])
-        self._letter_rank = {c: i for i, c in enumerate(self.letters)}
+        self._letter_set = frozenset(self.letters)
+        # each letter to the character of its rank, so words of one length
+        # compare as strings exactly as their rank sequences compare
+        self._rank_table = str.maketrans(
+            "".join(self.letters), "".join(map(chr, range(len(self.letters)))))
+        # a letter next to its inverse: the word is not reduced
+        self._cancelling = re.compile("|".join(c + c.swapcase() for c in self.letters))
         # the letters that may follow each letter in a reduced word
         self._follow = {c: [x for x in self.letters if x != c.swapcase()]
                         for c in self.letters}
@@ -440,22 +447,23 @@ class FreeGroup(GroupHandle):
         return a[::-1].swapcase()
 
     def _parse_text(self, text):
-        for c in text:
-            if c not in self._letter_rank:
-                raise GroupSpecError(
-                    f"letter {c!r} not among the {self.rank} generators"
-                )
-        return self._reduce(text)
+        if not self._letter_set.issuperset(text):
+            c = next(c for c in text if c not in self._letter_set)
+            raise GroupSpecError(f"letter {c!r} not among the {self.rank} generators")
+        return self._reduce(text) if self._cancelling.search(text) else text
 
     def is_canonical(self, x):
-        return type(x) is str and all(c in self._letter_rank for c in x) \
-            and self._reduce(x) == x
+        return type(x) is str and self._letter_set.issuperset(x) \
+            and not self._cancelling.search(x)
 
     def length(self, x):
         return len(x)
 
     def sort_key(self, x):
-        return (len(x), tuple(self._letter_rank[c] for c in x))
+        """The length, then the word with each letter replaced by the
+        character of its rank: a string, not a tuple of ranks, since
+        tuples of every word length would each fill their own free list."""
+        return (len(x), x.translate(self._rank_table))
 
     def _ball_size(self, radius):
         """1 + the sum over j <= radius of 2k (2k - 1)^(j - 1), k the rank:

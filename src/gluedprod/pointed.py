@@ -81,26 +81,40 @@ class FinPerm:
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[Point]]) -> "FinPerm":
+        """The product of disjoint cycles, its inverse and its parity built
+        in one pass over the points; a 1-cycle claims its point and fixes it."""
         moved: dict[Point, Point] = {}
-        nontrivial = 0
+        inv: dict[Point, Point] = {}
+        fixed = []
+        flips = 0
         for cycle in cycles:
             if len(set(cycle)) != len(cycle):
                 text = " ".join(map(str, cycle))
                 raise WordParseError(f"repeated point in cycle ({text})")
-            for p, q in zip(cycle, list(cycle[1:]) + list(cycle[:1])):
+            for p, q in zip(cycle, (*cycle[1:], *cycle[:1])):
                 if p in moved:
                     raise WordParseError(f"point {p} appears in two cycles")
                 moved[p] = q
-            nontrivial += len(cycle) > 1
-        moved = {p: q for p, q in moved.items() if p != q}  # 1-cycles fix their point
-        out = cls._trusted(moved, {q: p for p, q in moved.items()})
-        # the cycles are disjoint: each of length k is k - 1 transpositions
-        out._even = (len(moved) - nontrivial) % 2 == 0
+                inv[q] = p
+            if len(cycle) > 1:
+                # the cycles are disjoint: each of length k is k - 1 transpositions
+                flips += len(cycle) - 1
+            elif cycle:
+                fixed.append(cycle[0])
+        for p in fixed:
+            del moved[p], inv[p]
+        out = cls._trusted(moved, inv)
+        out._even = flips % 2 == 0
         return out
 
     @property
     def moved(self) -> dict[Point, Point]:
         return dict(self._moved)
+
+    def maps(self) -> tuple[dict[Point, Point], dict[Point, Point]]:
+        """Fresh copies of the mapping and its inverse, to compose onto in
+        place with ``compose_left``."""
+        return dict(self._moved), dict(self._inverse_map())
 
     def items(self):
         """Iterate over (point, image) pairs of the support."""
@@ -132,12 +146,11 @@ class FinPerm:
     def compose(self, other: "FinPerm") -> "FinPerm":
         """(self o other): apply ``other`` first, then ``self``.
 
-        Copies the larger operand's mappings and patches only the points
-        the smaller one touches, so the Python work is O(support of the
-        smaller operand) plus C-level dict copies.  Each patch p -> r of
-        the product is r -> p of its inverse, so the inverse is patched
-        from the same operand's inverse.  Reads go to the unpatched
-        operands: a patched entry must not be read back.
+        Copies the larger operand's mappings and composes the smaller one
+        onto them in place (``compose_left``), so the Python work is
+        O(support of the smaller operand) plus C-level dict copies.  A
+        larger ``self`` is composed onto through the inverses:
+        self o other = (other^-1 o self^-1)^-1.
         """
         outer, inner = self._moved, other._moved
         if not inner:
@@ -145,21 +158,11 @@ class FinPerm:
         if not outer:
             return other
         if len(outer) >= len(inner):
-            # p in supp(inner) maps to outer(inner(p)); elsewhere to outer(p)
-            moved, inv = dict(outer), dict(self._inverse_map())
-            patches = [(p, outer.get(q, q)) for p, q in inner.items()]
+            moved, inv = self.maps()
+            compose_left(inv, moved, zip(inner.values(), inner))
         else:
-            # only the preimages under inner of supp(outer) change: inner^-1(x) -> outer(x)
-            preimage = other._inverse_map()
-            moved, inv = dict(inner), dict(preimage)
-            patches = [(preimage.get(x, x), r) for x, r in outer.items()]
-        for p, r in patches:
-            if r == p:
-                moved.pop(p, None)
-                inv.pop(p, None)
-            else:
-                moved[p] = r
-                inv[r] = p
+            moved, inv = other.maps()
+            compose_left(moved, inv, outer.items())
         return FinPerm._trusted(moved, inv)
 
     def inverse(self) -> "FinPerm":
@@ -201,6 +204,24 @@ class FinPerm:
 _IDENTITY = FinPerm._trusted({}, {})
 
 
+def compose_left(moved: dict[Point, Point], inv: dict[Point, Point],
+                 pairs: Iterable[tuple[Point, Point]]) -> None:
+    """Turn a mapping m and its inverse, in place, into sigma o m and its
+    inverse, where ``pairs`` are the (x, sigma(x)) of sigma's support.
+
+    Only the preimages under m of supp(sigma) change: p = m^-1(x) now
+    maps to r = sigma(x), and r's preimage is p.  All of them are read
+    before the first patch, so no patched entry is read back.
+    """
+    for p, r in [(inv.get(x, x), r) for x, r in pairs]:
+        if r == p:
+            moved.pop(p, None)
+            inv.pop(p, None)
+        else:
+            moved[p] = r
+            inv[r] = p
+
+
 def three_cycle(p: Point, q: Point, r: Point) -> FinPerm:
     """The permutation p -> q -> r -> p fixing everything else."""
     if len({p, q, r}) != 3:
@@ -240,7 +261,6 @@ def random_perm(points: Sequence[Point], rng: Random, even: bool) -> FinPerm:
     return perm
 
 
-_POINT_RE = re.compile(r"^(e|[gh]:.+)$")
 _PERM_RE = re.compile(r"(\s*\([^()]*\)\s*)*")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -382,7 +402,7 @@ class PointedUnion:
         text = text.strip()
         if text == "e":
             return BASE
-        if not _POINT_RE.match(text):
+        if len(text) < 3 or text[1] != ":" or text[0] not in "gh" or "\n" in text:
             raise WordParseError(f"bad point literal {text!r}")
         side = text[0]
         handle = self._sides[side]

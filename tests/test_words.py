@@ -22,10 +22,12 @@ from gluedprod import (
     CyclicGroup,
     FinPerm,
     FreeGroup,
+    GluedError,
     IntegersGroup,
     LatticeGroup,
     PointedUnion,
     PvContext,
+    PvElement,
     TableGroup,
     symmetric_group_table,
 )
@@ -150,3 +152,21 @@ def test_word_evaluation_is_linear_in_length(monkeypatch):
     # identity parts cost no group operation: 211 factor muls for 128
     # products (426 when every product multiplied and inverted all parts)
     assert calls["mul"] <= 1.65 * calls["multiply"]
+
+
+def test_check_mode_catches_a_dropped_commutator(monkeypatch):
+    monkeypatch.setattr(PvContext, "_compose_commutator", lambda *args: None)
+    ctx = PvContext(FreeGroup(2), IntegersGroup(), check=True)
+    with pytest.raises(GluedError, match=r"^product law mismatch at e for "):
+        ctx.eval_word("H:1 G:a")
+
+
+def test_check_mode_probes_the_transported_residual():
+    """Without the transported first residual a product is wrong only on
+    that residual's transported support, away from both inputs' supports."""
+    ctx = PvContext(IntegersGroup(), IntegersGroup(), check=True)
+    s1 = ctx.from_perm(ctx.union.parse_perm("(g:1 g:2 g:3)"))
+    s2 = ctx.from_g(10)
+    assert ctx.multiply(s1, s2) == PvElement(10, 0, ctx.union.parse_perm("(g:-9 g:-8 g:-7)"))
+    with pytest.raises(GluedError, match=r"^product law mismatch at g:-7 for "):
+        ctx._verify_product(s1, s2, PvElement(10, 0, FinPerm.identity()))
