@@ -42,7 +42,7 @@ _WORD_TOKEN = re.compile(r"\s*(?:PERM:((?:\([^()]*\))+)|([GH]):(\S+))")
 _SPACES = re.compile(r"\s*")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PvElement:
     """Normal form (g, h, a) of a glued-product element.
 
@@ -54,6 +54,16 @@ class PvElement:
     g: Element
     h: Element
     a: FinPerm
+
+    def __init__(self, g: Element, h: Element, a: FinPerm):
+        # the slot descriptors set the fields past the frozen __setattr__,
+        # at a third of the cost of object.__setattr__
+        _set_g(self, g)
+        _set_h(self, h)
+        _set_a(self, a)
+
+
+_set_g, _set_h, _set_a = PvElement.g.__set__, PvElement.h.__set__, PvElement.a.__set__
 
 
 class PvContext:
@@ -85,7 +95,8 @@ class PvContext:
     # ------------------------------------------------------------------
     # constructors
 
-    def _check_residual(self, a: FinPerm):
+    def _check_residual(self, a: FinPerm) -> FinPerm:
+        """Refuse a residual that is not an element; return it otherwise."""
         if self.regime == BOTH_INFINITE:
             if not a.is_even():
                 raise MembershipError(
@@ -106,6 +117,7 @@ class PvContext:
                 raise MembershipError(
                     f"support point {Point(side, x)} is not a canonical non-identity element"
                 )
+        return a
 
     def element(self, g=None, h=None, a: FinPerm = None) -> PvElement:
         """Build an element from parts (literals or values), canonicalising
@@ -126,7 +138,9 @@ class PvContext:
 
     def from_h(self, y) -> PvElement:
         """The element of an H literal or value."""
-        y = self.H.parse(y)
+        return self._h_element(self.H.parse(y))
+
+    def _h_element(self, y: Element) -> PvElement:
         if self.regime == MIXED:
             return PvElement(self.G.identity, self.H.identity,
                              self.union.translation("h", y))
@@ -251,30 +265,50 @@ class PvContext:
         return out
 
     def normalize(self, word: Iterable[Letter]) -> PvElement:
-        """Normal form of the product of a word of letters.
+        """Normal form of the product of a word of letters, one product-law
+        step per syllable.
 
-        The letters are built left to right, so the first bad letter is
-        the one reported, and the product is folded from the right.
-        ``multiply(s1, s2)`` transports ``s1.a`` through the factor parts
-        of ``s2`` point by point but only copies ``s2.a``; with the
-        single letter on the left, each step moves at most that letter's
-        few residual points instead of the whole accumulated residual,
-        so a word of L letters costs O(L) group operations, not O(L^2).
-        The normal form is canonical, so the result equals the left fold.
+        Syllable lemma: x -> T_x is a homomorphism on each factor, so a run
+        of G letters x1 ... xk acts as the one letter x1 ... xk, a run of H
+        letters likewise, and a run of PERM letters as their composite.
+        Each letter is parsed and validated on its own, left to right, and
+        only then merged into its run, so the first bad letter is the one
+        reported even when its run's product would be valid.  Each maximal
+        run becomes one syllable, multiplied inside its factor or composed.
+
+        The syllables are folded from the right.  ``multiply(s1, s2)``
+        transports ``s1.a`` through the factor parts of ``s2`` point by
+        point but only copies ``s2.a``; with the single syllable on the
+        left, each step moves at most that syllable's few residual points
+        instead of the whole accumulated residual, so a word of L letters
+        costs O(L) group operations, not O(L^2).  The normal form is
+        canonical, so the result equals the letter-by-letter fold.
         """
-        letters = []
+        G, H = self.G, self.H
+        parse = {"G": G.parse, "H": H.parse, "PERM": self._check_residual}
+        merge = {"G": G.mul, "H": H.mul, "PERM": FinPerm.compose}
+        syllables = []
+        last = [None, None]  # the open syllable: [kind, value]
         for kind, value in word:
-            if kind == "G":
-                letters.append(self.from_g(value))
-            elif kind == "H":
-                letters.append(self.from_h(value))
-            elif kind == "PERM":
-                letters.append(self.from_perm(value))
-            else:
+            step = parse.get(kind)
+            if step is None:
                 raise WordParseError(f"unknown letter kind {kind!r}")
+            x = step(value)
+            if kind == last[0]:
+                last[1] = merge[kind](last[1], x)
+            else:
+                last = [kind, x]
+                syllables.append(last)
+        eg, eh, e = G.identity, H.identity, FinPerm.identity()
         out = self.identity
-        for letter in reversed(letters):
-            out = self.multiply(letter, out)
+        for kind, x in reversed(syllables):
+            if kind == "G":
+                syllable = PvElement(x, eh, e)
+            elif kind == "H":
+                syllable = self._h_element(x)
+            else:
+                syllable = PvElement(eg, eh, x)
+            out = self.multiply(syllable, out)
         return out
 
     # ------------------------------------------------------------------

@@ -24,6 +24,7 @@ from gluedprod import (
 )
 from gluedprod import core
 from gluedprod.core import embed
+from gluedprod.dynamics import free_semigroup_check
 from gluedprod.sampling import element as random_element
 from gluedprod.sampling import points as random_points
 
@@ -35,6 +36,24 @@ def test_regime_detection():
         PvContext(CyclicGroup(2), IntegersGroup())
     assert PvContext(IntegersGroup(), IntegersGroup()).regime == "both-infinite"
     assert PvContext(IntegersGroup(), CyclicGroup(2)).regime == "mixed"
+
+
+def test_element_contract(zz):
+    """Field equality between elements only, the hash of the field tuple,
+    and fields that cannot be reassigned."""
+    a = three_cycle(BASE, Point("g", 1), Point("h", 1))
+    s, t = PvElement(1, 2, a), PvElement(1, 2, FinPerm(a.moved))
+    assert s == t and s is not t
+    assert s != PvElement(1, 2, FinPerm.identity())
+    assert s != (1, 2, a) and (1, 2, a) != s
+    assert PvElement(1, 0, FinPerm.identity()) != Point("g", 1)
+    assert hash(s) == hash(t) == hash((1, 2, a))
+    with pytest.raises(AttributeError):
+        s.g = 3
+    assert s.g == 1
+    assert len({s, t, zz.identity, zz.from_g(0)}) == 2
+    assert {s: "s"}[t] == "s"
+    assert free_semigroup_check(zz, "1", "1", 4).ok
 
 
 def test_act_examples(zz):

@@ -99,6 +99,16 @@ MALFORMED_SPECS = [
 ]
 
 
+def test_a_loop_whose_generators_look_associative_is_refused():
+    """A non-associative 6-element loop generated by 1 and 2; the triples
+    through the generator 1 alone are all associative, so only a test
+    over every generator, 2 included, refuses it."""
+    loop = [[0, 1, 2, 3, 4, 5], [1, 0, 5, 4, 3, 2], [2, 3, 4, 5, 0, 1],
+            [3, 2, 1, 0, 5, 4], [4, 5, 3, 2, 1, 0], [5, 4, 0, 1, 2, 3]]
+    with pytest.raises(GroupSpecError, match=r"^table is not associative at \(1,2,2\)$"):
+        parse_group({"type": "table", "table": loop})
+
+
 def test_parse_group_rejects_bad_specs():
     with pytest.raises(GroupSpecError):
         parse_group({"type": "nope"})

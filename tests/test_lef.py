@@ -92,6 +92,19 @@ def test_supplied_quotient_must_send_the_identity_to_the_identity():
         Approximation(PvContext(IntegersGroup(), IntegersGroup()), 1, quotient_g=shifted)
 
 
+def test_a_quotient_that_only_fails_the_homomorphism_law_is_refused():
+    """Z -> Z/17 followed by the swap of residues 1 and 2: it keeps the
+    identity and is injective on the radius-4 ball, so only the
+    homomorphism law refuses it."""
+    swap = {1: 2, 2: 1}
+    source = IntegersGroup()
+    q = FiniteQuotient(source, CyclicGroup(17), lambda x: swap.get(x % 17, x % 17))
+    assert q.proj(0) == 0
+    assert len({q.proj(x) for x in source.ball(4)}) == len(source.ball(4))
+    with pytest.raises(GroupSpecError, match="^quotient map is not a homomorphism$"):
+        q.verify(4)
+
+
 def test_build_quotient_lattice():
     q = build_quotient(LatticeGroup(2), 2)
     assert isinstance(q.target, CyclicPowerGroup)
