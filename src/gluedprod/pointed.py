@@ -16,6 +16,10 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .errors import WordParseError
 from .groups import DensePerm, Element, GroupHandle, format_value, parity_dense
 
+# The most point texts a union's literal table keeps.  A full table stores
+# no more, so texts that never repeat each cost a lookup, not a store.
+LITERAL_TABLE_CAP = 1024
+
 
 class Point(NamedTuple):
     """A point as a plain tuple, so hashing and equality run at C level.
@@ -281,6 +285,7 @@ class PointedUnion:
         self._sides = {"g": G, "h": H}
         self._translations: dict[tuple[str, Element], FinPerm] = {}
         self._dense_translations: dict[tuple[str, Element], DensePerm] = {}
+        self._point_literals: dict[str, Point] = {}  # text -> point, see parse_point
 
     def handle(self, side: str) -> GroupHandle:
         handle = self._sides.get(side)
@@ -397,8 +402,21 @@ class PointedUnion:
         return str(p)
 
     def parse_point(self, text: str) -> Point:
-        """The point of a literal ``e`` or ``side:payload``; the payload is
-        parsed once, by its side's handle."""
+        """The point of a literal ``e`` or ``side:payload``.  Each text is
+        parsed once per union: its point is kept in a literal table.  A
+        text that raises is not kept, and a full table keeps what it holds
+        and stores nothing more."""
+        literals = self._point_literals
+        if text in literals:
+            return literals[text]
+        p = self._parse_point_text(text)
+        if len(literals) < LITERAL_TABLE_CAP:
+            literals[text] = p
+        return p
+
+    def _parse_point_text(self, text: str) -> Point:
+        """``parse_point`` without the table; the payload is parsed by its
+        side's handle."""
         text = text.strip()
         if text == "e":
             return BASE

@@ -3,6 +3,8 @@
 ``parse_point`` checks ``e``/``g:``/``h:`` by hand and ``from_cycles``
 builds a permutation, its inverse and its parity in one pass; the
 references below are the regex point match and the two-pass build.
+``parse_point`` keeps each text's point in a literal table, checked
+against the same regex reference.
 ``FreeGroup`` validates a word against its letter set and one regex for
 cancelling pairs, and sorts by a string key; the references are the
 per-letter loop, the stack reduction and the tuple of letter ranks.
@@ -27,11 +29,14 @@ from gluedprod import (
     IntegersGroup,
     LatticeGroup,
     Point,
+    PointedUnion,
     PvContext,
     WordParseError,
+    parse_group,
+    symmetric_group_table,
 )
 from gluedprod.core import PvElement
-from gluedprod.pointed import random_perm
+from gluedprod.pointed import LITERAL_TABLE_CAP, random_perm
 from gluedprod.sampling import points as random_points
 
 # ----------------------------------------------------------------------
@@ -176,6 +181,56 @@ def test_residuals_round_trip_through_their_text(name):
         assert b == a
         assert b._even == parity_by_cycles(a)
         assert b._inverse_map() == dict(zip(a.moved.values(), a.moved))
+
+
+# ----------------------------------------------------------------------
+# the point literal table: each text parsed once per union
+
+SPECS = {
+    "integers": {"type": "integers"},
+    "lattice": {"type": "lattice", "d": 2},
+    "free": {"type": "free", "rank": 2},
+    "cyclic": {"type": "cyclic", "n": 3},
+    "table": {"type": "table", "table": symmetric_group_table(3)},
+}
+SPELLINGS = ["0", "1", "-1", "+1", " 2", "1_0", "01", "5", "x", "", "1.5"]
+PAYLOADS = {
+    "integers": SPELLINGS,
+    "lattice": ["1,0", "+1, 2", " 0,0", "1_0,01", "-1,-1", "1", "1,2,3", "a,b", ""],
+    "free": ["", "a", "aA", "abBA", "ab", "Ba", "c", "a b"],
+    "cyclic": SPELLINGS + ["3", "-4"],
+    "table": SPELLINGS + ["6", "-1"],
+}
+POINT_LITERALS = ["e", " e", " h:1 ", "h:01", "h:1_0", "h:", "k:1", "h", "e:1", "h:x"]
+
+
+@pytest.mark.parametrize("left", sorted(SPECS))
+def test_point_literals_parse_like_the_regex_reference(left):
+    union = PointedUnion(parse_group(SPECS[left]), IntegersGroup())
+    kept = 0
+    for text in POINT_LITERALS + ["g:" + x for x in PAYLOADS[left]]:
+        want = outcome(ref_parse_point, union, text)
+        assert outcome(union.parse_point, text) == want
+        assert outcome(union.parse_point, text) == want  # the second from the table
+        kept += want[0] == "ok"  # a literal that raises is not kept
+        assert len(union._point_literals) == kept
+
+
+def test_a_full_point_table_stores_no_more_and_still_parses_right():
+    union = PointedUnion(IntegersGroup(), IntegersGroup())
+    texts = [f"h:{k}" for k in range(-1, LITERAL_TABLE_CAP)]  # cap + 1 texts
+    for _ in range(2):
+        for text in texts:
+            assert union.parse_point(text) == ref_parse_point(union, text)
+    assert list(union._point_literals) == texts[:LITERAL_TABLE_CAP]
+
+
+def test_separate_unions_share_no_point_literals():
+    G, H = IntegersGroup(), IntegersGroup()
+    first, second = PointedUnion(G, H), PointedUnion(G, H)
+    assert first.parse_point("g:7") == Point("g", 7)
+    assert first._point_literals == {"g:7": Point("g", 7)}
+    assert second._point_literals == {}
 
 
 # ----------------------------------------------------------------------

@@ -233,6 +233,31 @@ def test_word_evaluation_is_linear_in_length(monkeypatch):
     assert calls["mul"] == 137
 
 
+def test_each_point_literal_reaches_its_parser_once(monkeypatch):
+    """Three point literals named four times each are parsed three times."""
+    ctx = make_context("ZxZ", check=False)
+    calls = []
+    original = PointedUnion._parse_point_text
+
+    def counting(union, text):
+        calls.append(text)
+        return original(union, text)
+    monkeypatch.setattr(PointedUnion, "_parse_point_text", counting)
+    word = " ".join(["PERM:(g:1 g:2 h:1) G:1 H:1"] * 4)
+    assert ctx.eval_word(word) == ctx.eval_word(word)
+    assert calls == ["g:1", "g:2", "h:1"]
+
+
+def test_a_repeated_bad_literal_reports_its_first_use():
+    zz = make_context("ZxZ", check=False)
+    for word, bad in [("G:1 H:z G:2 H:z G:q", "z"),
+                      ("PERM:(g:1 g:x h:1) PERM:(h:2 g:y g:x)", "x")]:
+        for _ in range(2):  # nothing is kept from a literal that raises
+            with pytest.raises(GluedError, match=f"^bad integer element '{bad}'$"):
+                zz.eval_word(word)
+    assert set(zz.union._point_literals) == {"g:1"}
+
+
 def test_check_mode_catches_a_dropped_commutator(monkeypatch):
     monkeypatch.setattr(PvContext, "_compose_commutator", lambda *args: None)
     ctx = PvContext(FreeGroup(2), IntegersGroup(), check=True)
