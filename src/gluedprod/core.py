@@ -176,7 +176,10 @@ class PvContext:
         and the transported a1 and then c are composed onto that copy
         in place, from the left: each step patches only its own few
         points.  Identity parts cost nothing: no group operation runs
-        on them and no translation applies them.
+        on them and no translation applies them.  The product's residual
+        carries its parity when both residuals know theirs: a1 and a2
+        have the same parity exactly when a is even.  It is stored for
+        ``FinPerm.known_even``; ``is_even`` still counts.
         """
         G, H = self.G, self.H
         eg, eh = G.identity, H.identity
@@ -207,6 +210,11 @@ class PvContext:
             if not commutes:
                 self._compose_commutator(moved, inv, h1, g2i, h2i)
             a = FinPerm._trusted(moved, inv)
+            e1 = a1._carried if a1._even is None else a1._even
+            e2 = a2._carried if a2._even is None else a2._even
+            if e1 is not None and e2 is not None:
+                # conjugation keeps the cycle type and c is a 3-cycle
+                a._carried = e1 == e2
         out = PvElement(g, h, a)
         if self.check:
             self._verify_product(s1, s2, out)

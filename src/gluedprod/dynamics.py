@@ -11,8 +11,10 @@ the other factor fixes them pointwise.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .core import PvContext, PvElement
@@ -75,21 +77,43 @@ def free_semigroup_check(ctx: PvContext, g, h, max_len: int) -> PongReport:
 
 @dataclass(frozen=True)
 class FolnerSet:
-    """A finite subset of the G side avoiding the basepoint."""
+    """The box [1, 2n + 1] x [-n, n]^(d - 1) of the G side: the Folner box
+    of radius n shifted by ``shift`` = (n + 1, 0, ..., 0), so it avoids
+    the basepoint.  Its points are built on first read only; membership
+    compares coordinates."""
 
-    points: frozenset[Point]
     n: int
+    d: int
     shift: Element
+
+    @property
+    def size(self) -> int:
+        return (2 * self.n + 1) ** self.d
+
+    @cached_property
+    def points(self) -> frozenset[Point]:
+        """The points of the box, built directly as values: coordinate
+        tuples, or their one int on Z."""
+        n = self.n
+        box = itertools.product(range(1, 2 * n + 2), *[range(-n, n + 1)] * (self.d - 1))
+        if isinstance(self.shift, int):  # an element of Z is an int, not a 1-tuple
+            box = (c for (c,) in box)
+        return frozenset(Point("g", x) for x in box)
+
+    def __contains__(self, p: Point) -> bool:
+        side, x = p
+        if side != "g":
+            return False
+        first, *rest = (x,) if isinstance(x, int) else x
+        n = self.n
+        return 0 < first <= 2 * n + 1 and all(-n <= c <= n for c in rest)
 
 
 def folner_set(ctx: PvContext, n: int) -> FolnerSet:
     """The shifted Folner set of the first factor, as points of the G side.
 
-    Z is Z^d with d = 1: the set is the box [-n, n]^d shifted by
-    (n + 1, 0, ..., 0), so it avoids the basepoint.  Its points are
-    built directly as values: coordinate tuples, or their one int on Z.
-    A box of more than ``DEFAULT_BALL_CAP`` points is refused before any
-    is built.
+    Z is Z^d with d = 1.  A box of more than ``DEFAULT_BALL_CAP`` points
+    is refused; nothing is built either way.
     """
     if n < 0:
         raise GroupSpecError(f"Folner radius must be at least 0, got {n}")
@@ -99,16 +123,27 @@ def folner_set(ctx: PvContext, n: int) -> FolnerSet:
     d = G.d if G.kind == "lattice" else 1
     if (2 * n + 1) ** d > DEFAULT_BALL_CAP:
         raise BudgetError(f"Folner box of radius {n} in {G!r} exceeds cap {DEFAULT_BALL_CAP}")
-    box = itertools.product(range(1, 2 * n + 2), *[range(-n, n + 1)] * (d - 1))
-    if G.kind == "integers":  # an element of Z is an int, not a 1-tuple
-        shift, values = n + 1, (c for (c,) in box)
-    else:
-        shift, values = (n + 1,) + (0,) * (d - 1), box
-    points = frozenset(Point("g", x) for x in values)
-    return FolnerSet(points, n, shift)
+    shift = n + 1 if G.kind == "integers" else (n + 1,) + (0,) * (d - 1)
+    return FolnerSet(n, d, shift)
 
 
 def folner_ratio(ctx: PvContext, F: FolnerSet, s: PvElement) -> Fraction:
-    """|sF symmetric-difference F| / |F| as an exact rational."""
-    image = {ctx.act(s, p) for p in F.points}
-    return Fraction(len(image ^ F.points), len(F.points))
+    """|sF symmetric-difference F| / |F| as an exact rational, at the cost of
+    the residual's support, not of the box.
+
+    Lemma: s = T_g T_h a, and F lies on the G side away from the
+    basepoint, which T_h fixes pointwise; so s(p) = g p for every p of F
+    outside supp(a).  s is a bijection, so |sF ^ F| = 2(|F| - k) with
+    k = #{p in F : s(p) in F}.  Without the residual k would be
+    |F n g^-1 F|, the product over the coordinates c of g of
+    max(0, 2n + 1 - |c|); each p of F n supp(a) takes back its g p term
+    and counts s(p) instead.
+    """
+    side = 2 * F.n + 1
+    g = s.g
+    kept = math.prod(max(0, side - abs(c)) for c in ((g,) if isinstance(g, int) else g))
+    apply = ctx.union.apply_factor
+    for p, _ in s.a.items():
+        if p in F:
+            kept += (ctx.act(s, p) in F) - (apply("g", g, p) in F)
+    return Fraction(2 * (F.size - kept), F.size)

@@ -180,7 +180,7 @@ def in_window(ctx: PvContext, s: PvElement, n: int) -> bool:
         return False
     if not s.a.support() <= w.point_set:
         return False
-    return not w.even or s.a.is_even()
+    return not w.even or s.a.known_even()
 
 
 def window_elements(ctx: PvContext, n: int) -> list[PvElement]:

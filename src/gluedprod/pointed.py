@@ -45,13 +45,17 @@ class FinPerm:
 
     Only non-fixed points are stored; the identity is the empty mapping.
     Instances are immutable and hashable; the hash and the parity are
-    computed on first use, since most intermediate products need neither.
+    computed on first use, since most intermediate products need neither;
+    each cached translation counts its own once.  ``PvContext.multiply``
+    gives its product the parity the product law implies (``_carried``),
+    which only ``known_even`` reads: ``is_even`` still counts a product's
+    cycles, so it stays an oracle for that law.
     The inverse mapping is carried along: ``compose`` patches it as it
     patches the forward one, and ``inverse`` swaps the two.  A trusted
     perm built without it computes it on first use.
     """
 
-    __slots__ = ("_moved", "_inv", "_hash", "_even")
+    __slots__ = ("_moved", "_inv", "_hash", "_even", "_carried")
 
     def __init__(self, moved: Mapping[Point, Point]):
         cleaned = {p: q for p, q in moved.items() if p != q}
@@ -62,6 +66,7 @@ class FinPerm:
         self._inv = inv
         self._hash = None
         self._even = None
+        self._carried = None
 
     @classmethod
     def _trusted(cls, cleaned: dict[Point, Point],
@@ -71,6 +76,7 @@ class FinPerm:
         out._inv = inv
         out._hash = None
         out._even = None
+        out._carried = None
         return out
 
     def _inverse_map(self) -> dict[Point, Point]:
@@ -174,6 +180,7 @@ class FinPerm:
             return self
         out = FinPerm._trusted(self._inverse_map(), self._moved)
         out._even = self._even
+        out._carried = self._carried
         return out
 
     def cycles(self) -> list[tuple[Point, ...]]:
@@ -199,6 +206,13 @@ class FinPerm:
             self._even = sum(len(c) - 1 for c in self.cycles()) % 2 == 0
         return self._even
 
+    def known_even(self) -> bool:
+        """The parity a product carried, else ``is_even()``.  For fast
+        paths that trust the product law; a parity check calls
+        ``is_even``."""
+        carried = self._carried
+        return self.is_even() if carried is None else carried
+
     def order(self) -> int:
         from math import lcm
 
@@ -206,6 +220,7 @@ class FinPerm:
 
 
 _IDENTITY = FinPerm._trusted({}, {})
+_IDENTITY._even = True
 
 
 def compose_left(moved: dict[Point, Point], inv: dict[Point, Point],
@@ -339,6 +354,7 @@ class PointedUnion:
                 moved[p] = q
                 inv[q] = p
         cached = self._translations[side, x] = FinPerm._trusted(moved, inv)
+        cached.is_even()  # counted once here; products carry it on
         return cached
 
     def dense_translation(self, side: str, x: Element) -> DensePerm:

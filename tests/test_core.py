@@ -5,6 +5,8 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gluedprod import (
     BASE,
@@ -19,12 +21,15 @@ from gluedprod import (
     PvContext,
     PvElement,
     RegimeError,
+    TableGroup,
+    symmetric_group_table,
     three_cycle,
     transposition,
 )
 from gluedprod import core
 from gluedprod.core import embed
 from gluedprod.dynamics import free_semigroup_check
+from gluedprod.pointed import side_points
 from gluedprod.sampling import element as random_element
 from gluedprod.sampling import points as random_points
 
@@ -148,6 +153,54 @@ def test_residual_parity_always_even(zz_fast):
         s1 = random_element(zz_fast, rng)
         s2 = random_element(zz_fast, rng)
         assert zz_fast.multiply(s1, s2).a.is_even()
+
+
+PARITY_FACTORS = {
+    "Z x Z": (IntegersGroup(), IntegersGroup()),
+    "F2 x Z": (FreeGroup(2), IntegersGroup()),
+    "Z x Z/3": (IntegersGroup(), CyclicGroup(3)),
+    "Z x S3": (IntegersGroup(), TableGroup(symmetric_group_table(3))),
+}
+
+
+def cycle_parity(a: FinPerm) -> bool:
+    """Even by counting cycles, never by a carried parity."""
+    return sum(len(c) - 1 for c in a.cycles()) % 2 == 0
+
+
+@st.composite
+def known_parity_elements(draw, ctx):
+    """from_g(g) * from_h(h) * from_perm(a), a two cycles of small points."""
+    pool = side_points(ctx.G, "g", 2) + side_points(ctx.H, "h", 2) + (BASE,)
+    support = draw(st.lists(st.sampled_from(pool), unique=True, max_size=7))
+    cut = draw(st.integers(0, len(support)))
+    a = FinPerm.from_cycles([support[:cut], support[cut:]])
+    assume(a.is_even() or ctx.mixed_symmetric)
+    g = draw(st.sampled_from(ctx.G.ball(2)))
+    h = draw(st.sampled_from(ctx.H.ball(2)))
+    return ctx.multiply(ctx.multiply(ctx.from_g(g), ctx.from_h(h)), ctx.from_perm(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(PARITY_FACTORS)), check=st.booleans())
+def test_products_and_inverses_carry_their_parity(data, name, check):
+    ctx = PvContext(*PARITY_FACTORS[name], check=check)
+    s1 = data.draw(known_parity_elements(ctx))
+    s2 = data.draw(known_parity_elements(ctx))
+    inv = ctx.invert(s1)
+    for out in (s1, s2, ctx.multiply(s1, s2), ctx.multiply(s2, s1), inv,
+                ctx.multiply(inv, s2), ctx.multiply(s1, inv)):
+        a = out.a
+        assert a._even is not None or a._carried is not None
+        assert a.known_even() == cycle_parity(a), ctx.format_element(out)
+
+
+def test_is_even_counts_a_product_whatever_it_carried():
+    ctx = PvContext(IntegersGroup(), IntegersGroup())
+    a = ctx.eval_word("PERM:(g:1 g:2 g:3) G:2 H:1 PERM:(e h:1 h:2)").a
+    assert a._even is None and a._carried is True
+    a._carried = False
+    assert a.is_even() and not a.known_even()
 
 
 def test_project_homomorphism_and_monolith(zz_fast):

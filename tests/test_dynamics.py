@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gluedprod import BudgetError, GroupSpecError, IntegersGroup, LatticeGroup, Point, PvContext
+from gluedprod import (
+    BASE,
+    BudgetError,
+    CyclicGroup,
+    FinPerm,
+    GroupSpecError,
+    IntegersGroup,
+    LatticeGroup,
+    Point,
+    PvContext,
+    TableGroup,
+    symmetric_group_table,
+)
 from gluedprod import dynamics
+from gluedprod.cli import main
 from gluedprod.dynamics import folner_ratio, folner_set, free_semigroup_check
 
 
@@ -112,3 +128,95 @@ def test_folner_no_scheme():
     ctx = PvContext(FreeGroup(2), IntegersGroup())
     with pytest.raises(GroupSpecError):
         folner_set(ctx, 2)
+
+
+def pointwise_ratio(ctx, F, s) -> Fraction:
+    """The oracle: act on every point of the box."""
+    image = {ctx.act(s, p) for p in F.points}
+    return Fraction(len(image ^ F.points), len(F.points))
+
+
+# Z x S3 is the context whose residuals may be odd
+FOLNER_CONTEXTS = {
+    "Z x Z": PvContext(IntegersGroup(), IntegersGroup()),
+    "Z^2 x Z": PvContext(LatticeGroup(2), IntegersGroup()),
+    "Z^3 x Z": PvContext(LatticeGroup(3), IntegersGroup()),
+    "Z x Z/3": PvContext(IntegersGroup(), CyclicGroup(3)),
+    "Z x S3": PvContext(IntegersGroup(), TableGroup(symmetric_group_table(3))),
+}
+
+
+@st.composite
+def folner_cases(draw):
+    """A context, a radius and an element whose translation may be wider
+    than the box and whose residual moves points in and around it."""
+    ctx = FOLNER_CONTEXTS[draw(st.sampled_from(sorted(FOLNER_CONTEXTS)))]
+    n = draw(st.integers(0, 6))
+    d = ctx.G.d if ctx.G.kind == "lattice" else 1
+
+    def g_value(low, high, first=0):
+        coords = tuple(draw(st.integers(low, high)) for _ in range(d))
+        coords = (coords[0] + first,) + coords[1:]
+        return coords if d > 1 else coords[0]
+
+    h_values = st.sampled_from(ctx.H.elements() if ctx.H.is_finite else range(-3, 4))
+    g = g_value(-2 * n - 3, 2 * n + 3)
+    near = [ctx.union.g_point(g_value(-n - 1, n + 1, first=n + 1))
+            for _ in range(draw(st.integers(0, 5)))]
+    far = [ctx.union.h_point(draw(h_values)) for _ in range(draw(st.integers(0, 2)))]
+    support = list(dict.fromkeys(near + far + [BASE] * draw(st.booleans())))
+    cut = draw(st.integers(0, len(support)))
+    cycles = [support[:cut], support[cut:]]
+    a = FinPerm.from_cycles(cycles)
+    if not a.is_even() and not ctx.mixed_symmetric:  # the even-length cycle drops a point
+        a = FinPerm.from_cycles([c[:-1] if len(c) % 2 == 0 else c for c in cycles])
+    return ctx, n, ctx.element(g=g, h=draw(h_values), a=a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(folner_cases())
+def test_closed_form_folner_ratio_matches_the_pointwise_count(case):
+    ctx, n, s = case
+    F = folner_set(ctx, n)
+    assert folner_ratio(ctx, F, s) == pointwise_ratio(ctx, F, s)
+
+
+def test_closed_form_counts_residual_points_in_the_box():
+    ctx = FOLNER_CONTEXTS["Z^2 x Z"]
+    F = folner_set(ctx, 2)
+    for word in ("G:1,0 PERM:(g:1,0 g:2,0 g:3,0)", "PERM:(g:1,-2 e h:4)",
+                 "G:-9,0 PERM:(g:5,2 g:1,0 h:1)", "G:0,5 PERM:(g:1,0 g:2,1 g:9,9)"):
+        s = ctx.eval_word(word)
+        assert any(p in F for p in s.a.support())
+        assert folner_ratio(ctx, F, s) == pointwise_ratio(ctx, F, s), word
+
+
+def test_box_membership_compares_coordinates():
+    for name, value in (("Z x Z", lambda c: c[0]), ("Z^2 x Z", tuple), ("Z^3 x Z", tuple)):
+        ctx = FOLNER_CONTEXTS[name]
+        for n in (0, 1, 2):
+            F = folner_set(ctx, n)
+            assert len(F.points) == F.size == (2 * n + 1) ** F.d
+            for c in itertools.product(range(-n - 2, 2 * n + 4), repeat=F.d):
+                p = ctx.union.g_point(value(c))
+                assert (p in F) == (p in F.points), (name, n, c)
+            assert BASE not in F and Point("h", 1) not in F
+
+
+def test_folner_ratio_builds_no_box(monkeypatch):
+    ctx = FOLNER_CONTEXTS["Z^2 x Z"]
+    words = ("G:1,0", "G:-1,3 PERM:(g:1,0 g:2,0 g:3,0)", "H:2 PERM:(g:201,100 e h:1)")
+    expected = [pointwise_ratio(ctx, folner_set(ctx, 100), ctx.eval_word(w)) for w in words]
+    assert expected[0] == Fraction(2, 201)
+    monkeypatch.setattr(dynamics.FolnerSet, "points",
+                        property(lambda F: pytest.fail("the box was built")))
+    F = folner_set(ctx, 100)
+    assert [folner_ratio(ctx, F, ctx.eval_word(w)) for w in words] == expected
+
+
+def test_folner_cli_at_radius_499_acts_on_no_box_point(monkeypatch, capsys):
+    monkeypatch.setattr(dynamics.FolnerSet, "points",
+                        property(lambda F: pytest.fail("the box was built")))
+    assert main(["folner", "--left", '{"type":"lattice","d":2}', "--n", "499",
+                 "--test", "G:1,0"]) == 0
+    assert capsys.readouterr().out == "2/999\n"

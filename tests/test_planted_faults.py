@@ -16,6 +16,7 @@ import re
 import sys
 import textwrap
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import pytest
@@ -27,12 +28,14 @@ from gluedprod import (
     GluedError,
     GroupSpecError,
     IntegersGroup,
+    LatticeGroup,
     MembershipError,
     PointedUnion,
     PvContext,
     PvElement,
     TableGroup,
     core,
+    dynamics,
     finite,
     groups,
     lef,
@@ -125,6 +128,40 @@ def image_against_pushforward() -> None:
     agree(report.failures, [], "pushforward failures")
 
 
+def loops_are_refused() -> None:
+    """A non-associative loop generated by 1 and 2 whose triples through 1
+    alone all associate."""
+    loop = [[0, 1, 2, 3, 4, 5], [1, 0, 5, 4, 3, 2], [2, 3, 4, 5, 0, 1],
+            [3, 2, 1, 0, 5, 4], [4, 5, 3, 2, 1, 0], [5, 4, 0, 1, 2, 3]]
+    refused(lambda: TableGroup(loop), GroupSpecError, r"^table is not associative at \(1,2,2\)$")
+
+
+def quotients_must_be_homomorphisms() -> None:
+    """Z -> Z/17 followed by the swap of residues 1 and 2, which fixes 0:
+    only the homomorphism law refuses it."""
+    swap = {1: 2, 2: 1}
+    q = FiniteQuotient(IntegersGroup(), CyclicGroup(17), lambda x: swap.get(x % 17, x % 17))
+    refused(lambda: q.verify(4), GroupSpecError, "^quotient map is not a homomorphism$")
+
+
+def folner_ratio_against_pointwise() -> None:
+    for ctx in (PvContext(IntegersGroup(), IntegersGroup()),
+                PvContext(LatticeGroup(2), IntegersGroup())):
+        F = dynamics.folner_set(ctx, 2)
+        for c in (-1, -3):
+            s = ctx.from_g(str(c) if ctx.G.kind == "integers" else f"{c},0")
+            image = {ctx.act(s, p) for p in F.points}
+            agree(dynamics.folner_ratio(ctx, F, s),
+                  Fraction(len(image ^ F.points), len(F.points)), f"Folner ratio of {c}")
+
+
+def carried_parity_against_cycles() -> None:
+    ctx = PvContext(IntegersGroup(), IntegersGroup())
+    for word in ("H:1 G:1 H:-1 G:-1", "PERM:(g:1 g:2 g:3) G:2 H:1 PERM:(e h:1 h:2)"):
+        a = ctx.eval_word(word).a
+        agree(a.known_even(), sum(len(c) - 1 for c in a.cycles()) % 2 == 0, f"parity of {word}")
+
+
 # ----------------------------------------------------------------------
 # faults
 
@@ -169,6 +206,18 @@ FAULTS = [
     Fault("sift-exit", groups._StabilizerChain, "sift",
           "return p, i", "return p, i - 1",
           schreier_sims_against_closure, AssertionError, "^order of"),
+    Fault("associativity-first-generator-only", groups.TableGroup, "_check_associativity",
+          "for s in self.generators():", "for s in self.generators()[:1]:",
+          loops_are_refused, AssertionError, "accepted"),
+    Fault("homomorphism-law-off", lef.FiniteQuotient, "verify",
+          "if proj(source.mul(x, y)) != target.mul(proj(x), proj(y)):", "if False:",
+          quotients_must_be_homomorphisms, AssertionError, "accepted"),
+    Fault("folner-unsigned-translation", dynamics, "folner_ratio",
+          "side - abs(c)", "side - c",
+          folner_ratio_against_pointwise, AssertionError, "^Folner ratio of -1"),
+    Fault("carried-parity-flipped", core.PvContext, "multiply",
+          "a._carried = e1 == e2", "a._carried = e1 != e2",
+          carried_parity_against_cycles, AssertionError, "^parity of"),
 ]
 
 
