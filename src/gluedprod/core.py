@@ -1,11 +1,12 @@
 """Elements of the glued product in canonical normal form.
 
 An element is a triple ``(g, h, a)`` acting on the pointed union as the
-permutation g o h o a (``a`` first).  When both factors are infinite the
-triple is unique per group element and ``a`` is an even finitely
-supported permutation; when exactly one factor is finite (the "mixed"
-regime, infinite factor first) the convention is ``h = e`` with the
-finite factor absorbed into ``a``.
+permutation g o h o a (``a`` first).  One rule per side makes the triple
+unique per group element: an infinite factor is kept as its part, and a
+finite factor is absorbed into the finitely supported residual ``a``, so
+its part is always e.  With both factors finite the element is
+(e, e, a), the permutation of the finite union itself.  Odd residuals
+are elements exactly when an absorbed factor has an odd translation.
 
 The ground truth for every identity is the action on points; the closed
 product law below is cross-checked against it when a context is built
@@ -22,16 +23,15 @@ from typing import Callable, Iterable, Optional
 from .errors import (
     BudgetError,
     GluedError,
+    GroupSpecError,
     MembershipError,
     RegimeError,
     WordParseError,
 )
 from .finite import has_cyclic_two_sylow
 from .groups import Element, GroupHandle, format_value
-from .pointed import BASE, FinPerm, Point, PointedUnion, compose_left, three_cycle
+from .pointed import BASE, FinPerm, Point, PointedUnion, carry_parity, compose_left, three_cycle
 
-BOTH_INFINITE = "both-infinite"
-MIXED = "mixed"
 ORDER_CAP = 10**9  # the largest element order computed
 EMBED_SAMPLES = 24  # ball elements drawn to test each factor map
 EMBED_SEED = 0
@@ -67,48 +67,39 @@ _set_g, _set_h, _set_a = PvElement.g.__set__, PvElement.h.__set__, PvElement.a._
 
 
 class PvContext:
-    """A glued product of two factor groups, with its product regime."""
+    """A glued product of two nontrivial factor groups."""
 
     def __init__(self, G: GroupHandle, H: GroupHandle, *,
                  check: bool = False):
-        if G.is_finite and H.is_finite:
-            raise RegimeError(
-                "both factors are finite; use the dense backend in gluedprod.finite"
-            )
-        if G.is_finite:
-            raise RegimeError(
-                "the infinite factor goes first; swap the factors (the product is symmetric)"
-            )
+        if G.order() == 1 or H.order() == 1:
+            # G glued with 1 is G acting regularly: it has no residual
+            raise GroupSpecError("the glued product needs nontrivial factors")
         self.G = G
         self.H = H
         self.union = PointedUnion(G, H)
-        self.regime = MIXED if H.is_finite else BOTH_INFINITE
         self.check = check
-        # in the mixed regime the h-and-residual part lives in Alt_f or
-        # Sym_f according to whether H has a nontrivial cyclic 2-Sylow
-        self.mixed_symmetric = has_cyclic_two_sylow(H) if self.regime == MIXED else False
+        # the per-side rule: an infinite factor is kept as its part, a finite
+        # one absorbed into the residual; odd residuals are elements exactly
+        # when an absorbed factor has an odd translation
+        self.g_kept, self.h_kept = not G.is_finite, not H.is_finite
+        self.mixed_symmetric = has_cyclic_two_sylow(G) or has_cyclic_two_sylow(H)
         self.identity = PvElement(G.identity, H.identity, FinPerm.identity())
 
     def __repr__(self):
-        return f"PvContext({self.G!r}, {self.H!r}, {self.regime})"
+        return f"PvContext({self.G!r}, {self.H!r})"
 
     # ------------------------------------------------------------------
     # constructors
 
     def _check_residual(self, a: FinPerm) -> FinPerm:
         """Refuse a residual that is not an element; return it otherwise."""
-        if self.regime == BOTH_INFINITE:
-            if not a.is_even():
-                raise MembershipError(
-                    "an odd finitely supported permutation is not an element "
-                    "of the product of two infinite factors"
-                )
-        elif not self.mixed_symmetric:
-            if not a.is_even():
-                raise MembershipError(
-                    "odd residual rejected: the finite factor has no "
-                    "nontrivial cyclic 2-Sylow, so residuals are even"
-                )
+        if not self.mixed_symmetric and not a.is_even():
+            raise MembershipError(
+                "an odd finitely supported permutation is not an element "
+                "of the product of two infinite factors" if self.g_kept and self.h_kept
+                else "odd residual rejected: the finite factor has no "
+                "nontrivial cyclic 2-Sylow, so residuals are even"
+            )
         for (side, x), _ in a.items():
             if side == "e":
                 continue
@@ -120,31 +111,29 @@ class PvContext:
         return a
 
     def element(self, g=None, h=None, a: FinPerm = None) -> PvElement:
-        """Build an element from parts (literals or values), canonicalising
-        and validating them."""
-        g = self.G.identity if g is None else self.G.parse(g)
-        h = self.H.identity if h is None else self.H.parse(h)
-        a = FinPerm.identity() if a is None else a
-        if self.regime == MIXED and h != self.H.identity:
-            # hPart is identity by convention; absorb h into the residual
-            a = self.union.translation("h", h).compose(a)
-            h = self.H.identity
-        self._check_residual(a)
-        return PvElement(g, h, a)
+        """The element g o h o a of its parts (literals or values), validated
+        and normalised as the word of those letters, so an absorbed part is
+        moved into the residual past the parts to its right."""
+        letters = (("G", g), ("H", h), ("PERM", a))
+        return self.normalize([(kind, x) for kind, x in letters if x is not None])
 
     def from_g(self, x) -> PvElement:
         """The element of a G literal or value."""
-        return PvElement(self.G.parse(x), self.H.identity, FinPerm.identity())
+        return self._g_element(self.G.parse(x))
+
+    def _g_element(self, x: Element) -> PvElement:
+        if self.g_kept:
+            return PvElement(x, self.H.identity, FinPerm.identity())
+        return PvElement(self.G.identity, self.H.identity, self.union.translation("g", x))
 
     def from_h(self, y) -> PvElement:
         """The element of an H literal or value."""
         return self._h_element(self.H.parse(y))
 
     def _h_element(self, y: Element) -> PvElement:
-        if self.regime == MIXED:
-            return PvElement(self.G.identity, self.H.identity,
-                             self.union.translation("h", y))
-        return PvElement(self.G.identity, y, FinPerm.identity())
+        if self.h_kept:
+            return PvElement(self.G.identity, y, FinPerm.identity())
+        return PvElement(self.G.identity, self.H.identity, self.union.translation("h", y))
 
     def from_perm(self, a: FinPerm) -> PvElement:
         self._check_residual(a)
@@ -177,9 +166,9 @@ class PvContext:
         in place, from the left: each step patches only its own few
         points.  Identity parts cost nothing: no group operation runs
         on them and no translation applies them.  The product's residual
-        carries its parity when both residuals know theirs: a1 and a2
-        have the same parity exactly when a is even.  It is stored for
-        ``FinPerm.known_even``; ``is_even`` still counts.
+        carries its parity when both residuals know theirs
+        (``carry_parity``): conjugation keeps the cycle type and c is a
+        3-cycle, so a is even exactly when a1 and a2 have the same parity.
         """
         G, H = self.G, self.H
         eg, eh = G.identity, H.identity
@@ -209,12 +198,7 @@ class PvContext:
                 compose_left(moved, inv, pairs)
             if not commutes:
                 self._compose_commutator(moved, inv, h1, g2i, h2i)
-            a = FinPerm._trusted(moved, inv)
-            e1 = a1._carried if a1._even is None else a1._even
-            e2 = a2._carried if a2._even is None else a2._even
-            if e1 is not None and e2 is not None:
-                # conjugation keeps the cycle type and c is a 3-cycle
-                a._carried = e1 == e2
+            a = carry_parity(FinPerm._trusted(moved, inv), a1, a2)
         out = PvElement(g, h, a)
         if self.check:
             self._verify_product(s1, s2, out)
@@ -262,7 +246,7 @@ class PvContext:
         """Normalise a^-1 h^-1 g^-1 by multiplying the letter blocks.
 
         The blocks are parts of a valid element, so they are built
-        without validation; h is e in the mixed regime.
+        without validation; an absorbed part is e.
         """
         eg, eh, e = self.G.identity, self.H.identity, FinPerm.identity()
         out = PvElement(eg, eh, s.a.inverse())
@@ -308,10 +292,11 @@ class PvContext:
                 last = [kind, x]
                 syllables.append(last)
         eg, eh, e = G.identity, H.identity, FinPerm.identity()
+        g_kept = self.g_kept
         out = self.identity
         for kind, x in reversed(syllables):
             if kind == "G":
-                syllable = PvElement(x, eh, e)
+                syllable = PvElement(x, eh, e) if g_kept else self._g_element(x)
             elif kind == "H":
                 syllable = self._h_element(x)
             else:
@@ -333,32 +318,31 @@ class PvContext:
 
     def project(self, s: PvElement) -> tuple:
         """The canonical epimorphism onto G x H (both factors infinite)."""
-        if self.regime != BOTH_INFINITE:
-            raise RegimeError(
-                "the H-projection is undefined when H is finite; use project_g"
-            )
-        return (s.g, s.h)
+        g = self.project_g(s)
+        if not self.h_kept:
+            raise RegimeError("the H-projection is undefined when H is finite; use project_g")
+        return (g, s.h)
 
     def project_g(self, s: PvElement):
-        """The canonical epimorphism onto the infinite factor G."""
+        """The canonical epimorphism onto G (an infinite factor)."""
+        if not self.g_kept:
+            raise RegimeError("the G-projection is undefined when G is finite")
         return s.g
 
     def in_monolith(self, s: PvElement) -> bool:
         """Membership in the minimal normal subgroup (kernel of project)."""
-        if self.regime != BOTH_INFINITE:
+        if not (self.g_kept and self.h_kept):
             raise RegimeError("the monolith test requires both factors infinite")
         return s.g == self.G.identity and s.h == self.H.identity
 
     def element_order(self, s: PvElement) -> Optional[int]:
         """Exact order of an element, None when infinite.
 
-        ``project`` is a homomorphism onto G x H and every infinite kind
-        is torsion-free, so an element has finite order exactly when both
-        factor parts are trivial, and then it is its residual's order.
-        Raises BudgetError when that order exceeds ``ORDER_CAP``.
+        s -> (g, h) is a homomorphism onto the kept factors, which are
+        torsion-free, and an absorbed part is e, so an element has finite
+        order exactly when its kept parts are trivial, and then it is its
+        residual's order.  Raises BudgetError over ``ORDER_CAP``.
         """
-        if self.regime != BOTH_INFINITE:
-            raise RegimeError("element order is computed in the both-infinite regime")
         if s.g != self.G.identity or s.h != self.H.identity:
             return None
         order = s.a.order()
@@ -416,7 +400,7 @@ def embed(source: PvContext, target: PvContext,
     balls before relabelling the normal form.  The result satisfies
     embed(xy) = embed(x)embed(y).
     """
-    if source.regime != BOTH_INFINITE:
+    if not (source.g_kept and source.h_kept):
         raise RegimeError("embedding is only canonical for infinite source factors")
     rng = Random(EMBED_SEED)
     for handle, mapping, tgt in ((source.G, g_map, target.G),

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import BOTH_INFINITE, PvContext, PvElement
+from .core import PvContext, PvElement
 from .errors import (
     BudgetError,
     FiberMismatchError,
@@ -87,7 +87,7 @@ def fixed_by_H(v: CubeVertex) -> bool:
 
 
 def _require_both_infinite(ctx: PvContext):
-    if ctx.regime != BOTH_INFINITE:
+    if not (ctx.g_kept and ctx.h_kept):
         raise RegimeError("the cubical complex is built over two infinite factors")
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .core import PvContext, PvElement
 from .errors import BudgetError, GroupSpecError
-from .groups import DEFAULT_BALL_CAP, Element
+from .groups import DEFAULT_BALL_CAP, Element, GroupHandle
 from .pointed import Point
 
 DEFAULT_WORD_CAP = 18
@@ -79,12 +79,13 @@ def free_semigroup_check(ctx: PvContext, g, h, max_len: int) -> PongReport:
 class FolnerSet:
     """The box [1, 2n + 1] x [-n, n]^(d - 1) of the G side: the Folner box
     of radius n shifted by ``shift`` = (n + 1, 0, ..., 0), so it avoids
-    the basepoint.  Its points are built on first read only; membership
-    compares coordinates."""
+    the basepoint.  Its points are built on first read only, and refused
+    over ``DEFAULT_BALL_CAP``; membership compares coordinates."""
 
     n: int
     d: int
     shift: Element
+    group: GroupHandle
 
     @property
     def size(self) -> int:
@@ -95,6 +96,9 @@ class FolnerSet:
         """The points of the box, built directly as values: coordinate
         tuples, or their one int on Z."""
         n = self.n
+        if self.size > DEFAULT_BALL_CAP:
+            raise BudgetError(f"Folner box of radius {n} in {self.group!r} "
+                              f"exceeds cap {DEFAULT_BALL_CAP}")
         box = itertools.product(range(1, 2 * n + 2), *[range(-n, n + 1)] * (self.d - 1))
         if isinstance(self.shift, int):  # an element of Z is an int, not a 1-tuple
             box = (c for (c,) in box)
@@ -112,8 +116,7 @@ class FolnerSet:
 def folner_set(ctx: PvContext, n: int) -> FolnerSet:
     """The shifted Folner set of the first factor, as points of the G side.
 
-    Z is Z^d with d = 1.  A box of more than ``DEFAULT_BALL_CAP`` points
-    is refused; nothing is built either way.
+    Z is Z^d with d = 1.  Nothing is built, so every radius has a set.
     """
     if n < 0:
         raise GroupSpecError(f"Folner radius must be at least 0, got {n}")
@@ -121,10 +124,8 @@ def folner_set(ctx: PvContext, n: int) -> FolnerSet:
     if G.kind not in ("integers", "lattice"):
         raise GroupSpecError(f"no Folner scheme registered for kind {G.kind!r}")
     d = G.d if G.kind == "lattice" else 1
-    if (2 * n + 1) ** d > DEFAULT_BALL_CAP:
-        raise BudgetError(f"Folner box of radius {n} in {G!r} exceeds cap {DEFAULT_BALL_CAP}")
     shift = n + 1 if G.kind == "integers" else (n + 1,) + (0,) * (d - 1)
-    return FolnerSet(n, d, shift)
+    return FolnerSet(n, d, shift, G)
 
 
 def folner_ratio(ctx: PvContext, F: FolnerSet, s: PvElement) -> Fraction:

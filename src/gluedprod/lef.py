@@ -2,10 +2,11 @@
 
 The window F_n holds the elements (g, h, a) with both factor parts in
 the radius-n balls and the residual supported in the corresponding point
-window C_n.  Given factor quotients injective on the radius-4n balls,
-the map phi sends a window element to the glued product of the finite
-quotients: factor parts go through the quotients, the residual is pushed
-forward along the induced point bijection.  phi is injective on F_2n and
+window C_n; an absorbed (finite) factor's part is always e, and C_n
+holds its whole side.  Given factor quotients injective on the radius-4n
+balls, the map phi sends a window element to the glued product of the
+finite quotients: factor parts go through the quotients, the residual is
+pushed forward along the induced point bijection.  phi is injective on F_2n and
 multiplicative on F_n; the harnesses here verify both, plus the weak
 equivariance and pushforward identities they rest on, exhaustively or on
 samples.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import MIXED, PvContext, PvElement
+from .core import PvContext, PvElement
 from .errors import BudgetError, GroupSpecError, MembershipError
 from .groups import (
     DEFAULT_BALL_CAP,
@@ -121,8 +122,8 @@ class Window:
     """The window F_n of one context, and the point window C_n it acts on.
 
     F_n is the set of (g, h, a) with g in ``g_ball``, h in ``h_ball`` and
-    a a permutation of ``points`` that is even when ``even`` is set.  In
-    the mixed regime C_n holds the whole finite side and h is always e.
+    a a permutation of ``points`` that is even when ``even`` is set.  An
+    absorbed (finite) factor's ball is [e], and C_n holds its whole side.
     """
 
     points: tuple[Point, ...]  # C_n in canonical order
@@ -152,12 +153,12 @@ class Window:
 def window(ctx: PvContext, n: int) -> Window:
     """F_n and C_n of ``ctx``, built once per context and radius.
 
-    This is the one place the regime shapes a window.
+    This is the one place the per-side rule shapes a window.
     """
-    h_trivial = ctx.regime == MIXED
-    g_ball = ctx.G.ball(n)
+    h_trivial = not ctx.h_kept
+    g_ball = ctx.G.ball(n) if ctx.g_kept else [ctx.G.identity]
     h_ball = [ctx.H.identity] if h_trivial else ctx.H.ball(n)
-    points = ((BASE,) + side_points(ctx.G, "g", n)
+    points = ((BASE,) + side_points(ctx.G, "g", n if ctx.g_kept else None)
               + side_points(ctx.H, "h", None if h_trivial else n))
     even = not ctx.mixed_symmetric
     c = len(points)
@@ -167,7 +168,7 @@ def window(ctx: PvContext, n: int) -> Window:
 
 
 def window_points(ctx: PvContext, n: int) -> frozenset[Point]:
-    """The point window C_n (the whole finite side in the mixed regime)."""
+    """The point window C_n (the whole side of an absorbed factor)."""
     return window(ctx, n).point_set
 
 

@@ -46,10 +46,10 @@ class FinPerm:
     Only non-fixed points are stored; the identity is the empty mapping.
     Instances are immutable and hashable; the hash and the parity are
     computed on first use, since most intermediate products need neither;
-    each cached translation counts its own once.  ``PvContext.multiply``
-    gives its product the parity the product law implies (``_carried``),
-    which only ``known_even`` reads: ``is_even`` still counts a product's
-    cycles, so it stays an oracle for that law.
+    each cached translation counts its own once.  ``compose`` and
+    ``PvContext.multiply`` give their product the parity its factors imply
+    (``carry_parity``), which only ``known_even`` reads: ``is_even`` still
+    counts a product's cycles, so it stays an oracle for that rule.
     The inverse mapping is carried along: ``compose`` patches it as it
     patches the forward one, and ``inverse`` swaps the two.  A trusted
     perm built without it computes it on first use.
@@ -173,7 +173,7 @@ class FinPerm:
         else:
             moved, inv = other.maps()
             compose_left(moved, inv, outer.items())
-        return FinPerm._trusted(moved, inv)
+        return carry_parity(FinPerm._trusted(moved, inv), self, other)
 
     def inverse(self) -> "FinPerm":
         if not self._moved:
@@ -221,6 +221,17 @@ class FinPerm:
 
 _IDENTITY = FinPerm._trusted({}, {})
 _IDENTITY._even = True
+
+
+def carry_parity(out: FinPerm, x: FinPerm, y: FinPerm) -> FinPerm:
+    """Give ``out``, a product of x and y (each possibly conjugated) and of
+    even factors, the parity that implies when both are known: even exactly
+    when x and y have the same parity.  Only ``known_even`` reads it."""
+    ex = x._carried if x._even is None else x._even
+    ey = y._carried if y._even is None else y._even
+    if ex is not None and ey is not None:
+        out._carried = ex == ey
+    return out
 
 
 def compose_left(moved: dict[Point, Point], inv: dict[Point, Point],

@@ -43,14 +43,26 @@ def test_cycle_errors_print_point_text_forms(capsys):
 
 
 def test_eval_regime_error_surfaced(capsys):
-    code, _, err = run_cli(
-        capsys, "eval",
-        "--left", '{"type": "cyclic", "n": 2}',
-        "--right", '{"type": "cyclic", "n": 3}',
-        "G:1",
-    )
-    assert code == 2
-    assert "finite" in err
+    code, out, err = run_cli(capsys, "cube", "ball", "--radius", "1",
+                             "--right", '{"type":"cyclic","n":2}')
+    assert (code, out) == (2, "")
+    assert err == "error: the cubical complex is built over two infinite factors\n"
+
+
+def test_a_trivial_factor_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "eval", "--right", '{"type":"cyclic","n":1}',
+                             "PERM:(g:1 g:2 g:3)")
+    assert (code, out) == (2, "")
+    assert err == "error: the glued product needs nontrivial factors\n"
+
+
+@pytest.mark.parametrize("left, word, expected", [
+    ('{"type":"cyclic","n":3}', "G:1 H:1", "g=0 h=1 a=(g:1 g:2 h:-1)"),
+    ('{"type":"cyclic","n":3}', "H:1 G:1", "g=0 h=1 a=(e g:1 g:2)"),
+])
+def test_eval_over_a_finite_left_factor(capsys, left, word, expected):
+    code, out, _ = run_cli(capsys, "eval", "--left", left, word)
+    assert (code, out) == (0, expected + "\n")
 
 
 def test_classify_output(capsys):
@@ -126,13 +138,18 @@ def test_cube_ball_over_the_vertex_cap_is_one_error_line(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("cube", "ball", "--radius", "0", "--payload-bound", "100000"),
      "ball of radius 100000 in lattice(2) exceeds cap 1000000"),
-    (("folner", "--n", "3000", "--test", "G:1,0"),
-     "Folner box of radius 3000 in lattice(2) exceeds cap 1000000"),
 ])
 def test_a_lattice_over_the_cap_is_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--left", '{"type":"lattice","d":2}')
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+def test_folner_ratio_over_the_box_cap_needs_no_box(capsys):
+    """(2 * 3000 + 1)^2 points exceed the cap, but the ratio builds no box."""
+    code, out, err = run_cli(capsys, "folner", "--n", "3000", "--test", "G:1,0",
+                             "--left", '{"type":"lattice","d":2}')
+    assert (code, out, err) == (0, "2/6001\n", "")
 
 
 def test_cube_transport(capsys):
@@ -505,9 +522,8 @@ def test_suite_all_output_is_pinned(capsys, monkeypatch):
 
 @pytest.mark.parametrize("spec", ['{"type":"cyclic","n":1}', '{"type":"table","table":[[0]]}'])
 def test_suite_all_skips_what_a_trivial_factor_cannot_sample(capsys, monkeypatch, spec):
-    """With a trivial right factor the commutator and Folner checks have no
-    element to draw, and the cube checks refuse the mixed context before
-    they draw a vertex: each is skipped, none raises."""
+    """A trivial right factor is refused when a check builds its context,
+    so the commutator, cube and Folner checks are skipped, none raises."""
     monkeypatch.delenv("PV_BUDGET", raising=False)
     code, out, err = run_cli(capsys, "suite", "all", "--right", spec)
     assert code == 0 and "Traceback" not in err

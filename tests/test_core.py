@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from gluedprod import (
     CyclicGroup,
     FinPerm,
     FreeGroup,
+    GroupSpecError,
     IntegersGroup,
     MembershipError,
     Point,
@@ -31,16 +33,74 @@ from gluedprod.core import embed
 from gluedprod.dynamics import free_semigroup_check
 from gluedprod.pointed import side_points
 from gluedprod.sampling import element as random_element
+from gluedprod.sampling import even_perm
 from gluedprod.sampling import points as random_points
 
 
 def test_regime_detection():
-    with pytest.raises(RegimeError):
-        PvContext(CyclicGroup(2), CyclicGroup(2))
-    with pytest.raises(RegimeError):
-        PvContext(CyclicGroup(2), IntegersGroup())
-    assert PvContext(IntegersGroup(), IntegersGroup()).regime == "both-infinite"
-    assert PvContext(IntegersGroup(), CyclicGroup(2)).regime == "mixed"
+    """One rule per side: every pair of nontrivial factors makes a context,
+    which keeps an infinite factor and absorbs a finite one."""
+    for G, H in itertools.product((IntegersGroup(), CyclicGroup(2)), repeat=2):
+        ctx = PvContext(G, H)
+        assert (ctx.g_kept, ctx.h_kept) == (not G.is_finite, not H.is_finite)
+
+
+@pytest.mark.parametrize("trivial", [CyclicGroup(1), TableGroup([[0]])])
+def test_a_trivial_factor_is_refused(trivial):
+    """G glued with 1 is G acting regularly: it has no finitary residual."""
+    for G, H in ((IntegersGroup(), trivial), (trivial, IntegersGroup()),
+                 (CyclicGroup(3), trivial)):
+        with pytest.raises(GroupSpecError, match="^the glued product needs nontrivial factors$"):
+            PvContext(G, H)
+
+
+# the factor pairs with an absorbed (finite) factor, one per shape
+SHAPES = {"C3 x C4": (CyclicGroup(3), CyclicGroup(4)),
+          "C3 x Z": (CyclicGroup(3), IntegersGroup()),
+          "Z x C3": (IntegersGroup(), CyclicGroup(3))}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_check_mode_agrees_on_every_shape(shape):
+    """Sampled elements act as g o h o a whichever parts are absorbed, and
+    their products, inverses and words pass the pointwise product law on
+    a finite left factor and on two finite factors, as on the others."""
+    ctx = PvContext(*SHAPES[shape], check=True)
+    apply = ctx.union.apply_factor
+    rng = Random(3)
+    for _ in range(300):
+        g, h, a = rng.choice(ctx.G.ball(2)), rng.choice(ctx.H.ball(2)), even_perm(ctx, rng)
+        s1, s2 = ctx.element(g=g, h=h, a=a), random_element(ctx, rng)
+        product = ctx.multiply(s1, s2)
+        assert ctx.multiply(product, ctx.invert(product)) == ctx.identity
+        for p in random_points(ctx, rng, 4) + list(a.support()):
+            assert ctx.act(s1, p) == apply("g", g, apply("h", h, a(p)))
+            assert ctx.act(product, p) == ctx.act(s1, ctx.act(s2, p))
+    assert ctx.eval_word("G:1 H:1 G:-1 H:-1") == ctx.commutator("1", "1")
+
+
+@pytest.mark.parametrize("right", [IntegersGroup(), CyclicGroup(4)])
+def test_a_finite_left_factor_refuses_what_needs_it_kept(right):
+    """Each refusal states its side: an absorbed G has no projection, and
+    the monolith test and embeddings need both factors kept."""
+    ctx = PvContext(CyclicGroup(3), right)
+    s = ctx.eval_word("G:1 H:1")
+    for call, message in ((ctx.project, "the G-projection is undefined when G is finite"),
+                          (ctx.project_g, "the G-projection is undefined when G is finite"),
+                          (ctx.in_monolith, "the monolith test requires both factors infinite")):
+        with pytest.raises(RegimeError, match=f"^{message}$"):
+            call(s)
+    with pytest.raises(RegimeError, match="^embedding is only canonical"):
+        embed(ctx, ctx, lambda x: x, lambda y: y, s)
+
+
+def test_element_orders_on_absorbed_factors():
+    """An element has finite order exactly when its kept parts are trivial."""
+    z_c3 = PvContext(IntegersGroup(), CyclicGroup(3))
+    assert z_c3.element_order(z_c3.eval_word("H:1")) == 3
+    assert z_c3.element_order(z_c3.eval_word("G:1 H:1")) is None
+    c3_c4 = PvContext(CyclicGroup(3), CyclicGroup(4))
+    assert c3_c4.element_order(c3_c4.eval_word("G:1 H:1")) == 6
 
 
 def test_element_contract(zz):

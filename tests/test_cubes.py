@@ -10,6 +10,7 @@ import pytest
 from gluedprod import (
     BASE,
     BudgetError,
+    CyclicGroup,
     FiberMismatchError,
     FreeGroup,
     IntegersGroup,
@@ -230,3 +231,10 @@ def test_growth_witness(zz_fast):
 def test_regime_guard(z_mod2):
     with pytest.raises(RegimeError):
         act_vertex(z_mod2, z_mod2.identity, whole_g_side())
+
+
+@pytest.mark.parametrize("right", [IntegersGroup(), CyclicGroup(4)])
+def test_regime_guard_on_a_finite_left_factor(right):
+    ctx = PvContext(CyclicGroup(3), right)
+    with pytest.raises(RegimeError, match="^the cubical complex is built over two infinite"):
+        act_vertex(ctx, ctx.identity, whole_g_side())

@@ -110,16 +110,19 @@ def test_folner_lattice_boxes():
 
 
 def test_folner_box_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    """Only reading the points of a box is bounded; its ratio never is."""
     z2 = PvContext(LatticeGroup(2), IntegersGroup())
     monkeypatch.setattr(dynamics, "DEFAULT_BALL_CAP", 49)
     assert len(folner_set(z2, 3).points) == 49
     monkeypatch.setattr(dynamics, "DEFAULT_BALL_CAP", 48)
+    F = folner_set(z2, 3)
     with pytest.raises(BudgetError, match="Folner box of radius 3 in lattice.2. exceeds cap 48"):
-        folner_set(z2, 3)
+        F.points
+    assert folner_ratio(z2, F, z2.from_g("1,0")) == Fraction(2, 7)
     monkeypatch.undo()
     monkeypatch.setattr(dynamics, "Point", lambda *args: pytest.fail("a point was built"))
     with pytest.raises(BudgetError):
-        folner_set(PvContext(LatticeGroup(3), IntegersGroup()), 50)  # 101^3 points
+        folner_set(PvContext(LatticeGroup(3), IntegersGroup()), 50).points  # 101^3 points
 
 
 def test_folner_no_scheme():

@@ -22,6 +22,7 @@ from gluedprod import (
 )
 from gluedprod.finite import (
     classify,
+    full_order,
     glued_order,
     has_cyclic_two_sylow,
     realize_finite,
@@ -112,6 +113,28 @@ def test_classify_examples():
     assert glued_order(catalog["V4"], catalog["Z3"]) == math.factorial(6) // 2 == 360
     with pytest.raises(GroupSpecError):
         classify(CyclicGroup(1), catalog["Z2"])
+
+
+@pytest.mark.parametrize("left, right", [(2, 3), (3, 3), (2, 4)])
+def test_evaluated_generators_are_the_dense_translations(left, right):
+    """Over two finite factors a letter evaluates to its translation, and the
+    evaluated generators generate the group ``classify`` names."""
+    G, H = CyclicGroup(left), CyclicGroup(right)
+    ctx = PvContext(G, H)
+    images = []
+    for side, handle in (("G", G), ("H", H)):
+        for x in handle.generators():
+            s = ctx.eval_word(f"{side}:{x}")
+            assert (s.g, s.h) == (G.identity, H.identity)
+            dense = ctx.union.dense(s.a)
+            assert dense == ctx.union.dense_translation(side.lower(), x)
+            images.append(dense)
+    assert schreier_sims_order(images) == full_order(classify(G, H), left + right - 1)
+
+
+def test_odd_residuals_are_elements_exactly_over_a_symmetric_product():
+    for a, b in itertools.product(finite_catalog().values(), repeat=2):
+        assert PvContext(a, b).mixed_symmetric == (classify(a, b) == "Sym"), (a, b)
 
 
 def test_classify_symmetric_in_arguments():

@@ -707,3 +707,18 @@ def test_sample_mode_decodes_each_drawn_position_once(monkeypatch):
         (True, 300, True, 300)
     assert 300 < drawn <= 600
     assert len(decoded) == len(set(decoded)) == drawn
+
+
+@pytest.mark.parametrize("right", [IntegersGroup(), CyclicGroup(2)])
+def test_an_absorbed_left_factor_gives_its_whole_side(right):
+    """A finite G is absorbed: its ball in F_n is [e], C_n holds its whole
+    side, and phi passes every check on the window it shapes."""
+    ctx = PvContext(CyclicGroup(3), right)
+    w = window(ctx, 1)
+    assert w.g_ball == (0,)
+    assert {Point("g", 1), Point("g", 2)} <= w.point_set
+    approx = Approximation(ctx, 1)
+    reports = approx.check_pairs(mode="sample", sample=500, seed=3)
+    reports += [approx.check_injectivity(samples=500, seed=3), approx.check_point_bijection(),
+                approx.check_equivariance(), approx.check_pushforward(mode="sample", sample=200)]
+    assert [r.failures for r in reports] == [[]] * len(reports)

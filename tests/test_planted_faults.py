@@ -100,6 +100,14 @@ def odd_residuals_are_refused() -> None:
             MembershipError, "^an odd finitely supported permutation")
 
 
+def odd_residuals_against_classify() -> None:
+    """Odd residuals are elements exactly over a symmetric product, whichever
+    side the factor with an odd translation is on."""
+    for left, right in ((CyclicGroup(2), CyclicGroup(3)), (CyclicGroup(3), CyclicGroup(2))):
+        agree(PvContext(left, right).mixed_symmetric, classify(left, right) == "Sym",
+              f"odd residuals of {left} x {right}")
+
+
 def parity_against_dense() -> None:
     union = PointedUnion(CyclicGroup(4), CyclicGroup(4))
     p = union.points
@@ -192,8 +200,13 @@ FAULTS = [
           "if len({proj(x) for x in ball}) != len(ball):", "if False:",
           quotients_must_be_injective, AssertionError, "accepted"),
     Fault("odd-residuals-accepted", core.PvContext, "_check_residual",
-          "BOTH_INFINITE:\n        if not a.is_even():", "BOTH_INFINITE:\n        if False:",
+          "if not self.mixed_symmetric and not a.is_even():",
+          "if not self.mixed_symmetric and False:",
           odd_residuals_are_refused, AssertionError, "accepted"),
+    Fault("odd-residuals-from-h-only", core.PvContext, "__init__",
+          "has_cyclic_two_sylow(G) or ", "",
+          odd_residuals_against_classify, AssertionError,
+          r"^odd residuals of cyclic\(2\) x cyclic\(3\)"),
     Fault("wrong-parity-sum", pointed.FinPerm, "is_even",
           "sum(len(c) - 1 for c", "sum(len(c) for c",
           parity_against_dense, AssertionError, "^parity of"),
@@ -215,8 +228,8 @@ FAULTS = [
     Fault("folner-unsigned-translation", dynamics, "folner_ratio",
           "side - abs(c)", "side - c",
           folner_ratio_against_pointwise, AssertionError, "^Folner ratio of -1"),
-    Fault("carried-parity-flipped", core.PvContext, "multiply",
-          "a._carried = e1 == e2", "a._carried = e1 != e2",
+    Fault("carried-parity-flipped", pointed, "carry_parity",
+          "out._carried = ex == ey", "out._carried = ex != ey",
           carried_parity_against_cycles, AssertionError, "^parity of"),
 ]
 

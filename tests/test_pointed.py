@@ -271,6 +271,40 @@ def test_sorted_points_canonical_order(pu):
     assert ordered[3:] == [Point("h", 2), Point("h", -2)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_carried_parity_is_the_cycle_parity(data):
+    """compose carries the parity its operands imply, as multiply does
+    (``carry_parity``): along chains of composes and inverses over operands
+    whose parity is known or not, a carried parity is the cycle parity, and
+    two known operands always give a product that knows its own."""
+    def known(p: FinPerm) -> bool:
+        return p._even is not None or p._carried is not None
+
+    x = FinPerm.identity()
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        left, right = data.draw(compose_operands(data.draw(st.sampled_from(SHAPES))))
+        if data.draw(st.booleans()):
+            left = FinPerm(left.moved)  # its parity is not known yet
+        y = left.compose(right)
+        assert known(y) == (known(left) and known(right)) or y is left or y is right
+        step = data.draw(st.sampled_from(["after", "before", "inverse", "restart"]))
+        x = {"after": lambda: y.compose(x), "before": lambda: x.compose(y),
+             "inverse": x.inverse, "restart": lambda: y}[step]()
+        for z in (y, x):
+            if z._carried is not None:
+                assert z._carried == parity_from_cycles(z.moved)
+
+
+def test_a_perm_run_carries_its_parity():
+    """A run of PERM letters is merged by compose, so the word's residual
+    knows its parity without counting it."""
+    ctx = PvContext(IntegersGroup(), IntegersGroup())
+    for word in ("PERM:(g:1 g:2 g:3) PERM:(g:4 g:5 g:6)",
+                 "PERM:(g:1 g:2 g:3) G:1 PERM:(g:4 g:5 g:6)"):
+        assert ctx.eval_word(word).a._carried is True
+
+
 def assert_carries_its_inverse(x: FinPerm):
     """The stored inverse is the swapped mapping, and undoes x from both sides."""
     assert x._inv is not None

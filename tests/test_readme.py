@@ -38,13 +38,16 @@ def quick_tour() -> list[tuple[str, str]]:
 
 TOUR = quick_tour()
 SUBCOMMANDS = [shlex.split(command)[1] for command, _ in TOUR]
+# a repeated subcommand is numbered from its second use, so the first keeps its plain id
+TOUR_IDS = [name if name not in SUBCOMMANDS[:i] else f"{name}{SUBCOMMANDS[:i].count(name) + 1}"
+            for i, name in enumerate(SUBCOMMANDS)]
 
 
 def test_the_quick_tour_has_the_commands_it_documents():
-    assert SUBCOMMANDS == ["eval", "classify", "folner"]
+    assert SUBCOMMANDS == ["eval", "eval", "classify", "folner"]
 
 
-@pytest.mark.parametrize("command, expected", TOUR, ids=SUBCOMMANDS)
+@pytest.mark.parametrize("command, expected", TOUR, ids=TOUR_IDS)
 def test_quick_tour_command_prints_its_comment(command, expected, capsys):
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == expected + "\n"
