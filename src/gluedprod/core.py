@@ -94,12 +94,13 @@ class PvContext:
     def _check_residual(self, a: FinPerm) -> FinPerm:
         """Refuse a residual that is not an element; return it otherwise."""
         if not self.mixed_symmetric and not a.is_even():
-            raise MembershipError(
-                "an odd finitely supported permutation is not an element "
-                "of the product of two infinite factors" if self.g_kept and self.h_kept
-                else "odd residual rejected: the finite factor has no "
-                "nontrivial cyclic 2-Sylow, so residuals are even"
-            )
+            if self.g_kept and self.h_kept:
+                raise MembershipError("an odd finitely supported permutation is not an "
+                                      "element of the product of two infinite factors")
+            finite = ("the finite factor has no" if self.g_kept or self.h_kept
+                      else "neither finite factor has a")
+            raise MembershipError(f"odd residual rejected: {finite} nontrivial cyclic "
+                                  "2-Sylow, so residuals are even")
         for (side, x), _ in a.items():
             if side == "e":
                 continue

@@ -5,11 +5,11 @@ symmetric group on |G| + |H| - 1 points, and it is the full symmetric
 group exactly when one factor has a nontrivial cyclic 2-Sylow subgroup,
 the alternating group otherwise.  A factor has one exactly when some
 regular translation of it is odd, which is how ``classify`` decides,
-and the incremental Schreier-Sims order engine of ``groups`` verifies
-it independently.  That engine is given only the translations T_s for
-s in a greedy generating set of each factor
-(``GroupHandle.generators``).  Since x -> T_x is a homomorphism, they
-generate the whole glued product, and 31 points take 0.04 s.
+and the Schreier-Sims order engine of ``groups`` verifies it
+independently.  That engine is given only the translations T_s for s in
+a greedy generating set of each factor (``GroupHandle.generators``).
+Since x -> T_x is a homomorphism, they generate the whole glued
+product, and 31 points take about 1 ms.
 """
 
 from __future__ import annotations

@@ -455,17 +455,25 @@ class PointedUnion:
         return BASE if x == handle.identity else tuple.__new__(Point, (side, x))
 
     def format_perm(self, a: FinPerm) -> str:
-        """Cycle text: each cycle from its least point, cycles by their least point."""
+        """Cycle text: each cycle from its least point, cycles by their least point.
+
+        The support is sorted once, and each cycle starts at the first
+        point not yet written, which is its least point.
+        """
         if not a:
             return "()"
-        key = self.sort_key
-        cycles = []
-        for cycle in a.cycles():
-            keys = list(map(key, cycle))
-            pivot = keys.index(min(keys))
-            cycles.append((keys[pivot], cycle[pivot:] + cycle[:pivot]))
-        cycles.sort(key=lambda kc: kc[0])
-        return "".join("(" + " ".join(map(str, cycle)) + ")" for _, cycle in cycles)
+        unwritten = a.moved
+        out = []
+        for start in sorted(unwritten, key=self.sort_key):
+            if start not in unwritten:
+                continue
+            cycle = [start]
+            p = unwritten.pop(start)
+            while p != start:
+                cycle.append(p)
+                p = unwritten.pop(p)
+            out.append("(" + " ".join(map(str, cycle)) + ")")
+        return "".join(out)
 
     def parse_perm(self, text: str) -> FinPerm:
         text = text.strip()

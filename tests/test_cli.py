@@ -376,6 +376,18 @@ def test_residual_parity_applies_only_where_residuals_are_even(capsys, argv, lin
     assert (code, out) == (0, line + "\n")
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["--left", '{"type":"cyclic","n":3}', "--right", '{"type":"cyclic","n":3}'],
+     "neither finite factor has a nontrivial cyclic 2-Sylow"),
+    (["--right", '{"type":"cyclic","n":3}'], "the finite factor has no nontrivial cyclic 2-Sylow"),
+    (["--left", '{"type":"cyclic","n":3}'], "the finite factor has no nontrivial cyclic 2-Sylow"),
+])
+def test_an_odd_residual_refusal_names_the_finite_factors(capsys, argv, reason):
+    code, out, err = run_cli(capsys, "eval", *argv, "PERM:(e g:1)")
+    assert (code, out) == (2, "")
+    assert err == f"error: odd residual rejected: {reason}, so residuals are even\n"
+
+
 def test_suite_only_runs_just_the_named_check(capsys, monkeypatch):
     from gluedprod import suites
 

@@ -239,14 +239,31 @@ def test_glued_order_at_31_points():
     assert glued_order(CyclicGroup(16), CyclicGroup(16)) == math.factorial(31)
 
 
+def _alt5() -> groups.TableGroup:
+    """C3 glued C3, which is Alt(5), as a table factor."""
+    alt5 = sorted(mulclose(realize_finite(CyclicGroup(3), CyclicGroup(3))))
+    assert len(alt5) == 60
+    position = {p: i for i, p in enumerate(alt5)}
+    return groups.TableGroup([[position[compose_dense(p, q)] for q in alt5] for p in alt5])
+
+
+def test_the_orbit_bound_proves_full_products(monkeypatch):
+    """The sampling phase fills the chain up to n! or n!/2, so these orders
+    need no completion, up to the 64-point cap."""
+    def refuse(self, i):
+        raise AssertionError("the completion ran")
+
+    monkeypatch.setattr(groups._StabilizerChain, "complete", refuse)
+    assert glued_order(CyclicGroup(9), CyclicGroup(10)) == math.factorial(18)
+    assert glued_order(CyclicGroup(16), CyclicGroup(16)) == math.factorial(31)
+    assert glued_order(_alt5(), CyclicGroup(5)) == math.factorial(64) // 2
+
+
 def test_one_bracketing_of_an_iterated_product_at_the_point_cap():
     """(C3 glued C3) glued C5: C3 glued C3 is Alt(5), whose 60 elements
     and C5 make 64 points, the order engine's cap.  The other bracketing,
     C3 glued Alt(7), has 2,522 points."""
-    alt5 = sorted(mulclose(realize_finite(CyclicGroup(3), CyclicGroup(3))))
-    assert len(alt5) == 60
-    position = {p: i for i, p in enumerate(alt5)}
-    A5 = groups.TableGroup([[position[compose_dense(p, q)] for q in alt5] for p in alt5])
+    A5 = _alt5()
     assert A5.order() + 5 - 1 == groups.POINT_CAP
     assert classify(A5, CyclicGroup(5)) == "Alt"
     assert glued_order(A5, CyclicGroup(5)) == math.factorial(64) // 2

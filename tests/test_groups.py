@@ -326,6 +326,22 @@ def test_schreier_sims_small_cases():
         schreier_sims_order([(0, 0, 1)])
 
 
+def test_a_group_that_is_not_full_reaches_the_completion(monkeypatch):
+    """<(0 1 2 3 4)> has 5 elements, far below the bound 5!/2, so the
+    sampling phase gives up and the completion finds the order."""
+    calls = 0
+    original = groups._StabilizerChain.complete
+
+    def counting(self, i):
+        nonlocal calls
+        calls += 1
+        return original(self, i)
+
+    monkeypatch.setattr(groups._StabilizerChain, "complete", counting)
+    assert schreier_sims_order([(1, 2, 3, 4, 0)]) == 5
+    assert calls > 0
+
+
 def test_schreier_sims_matches_bruteforce_closure():
     rng = Random(11)
     for trial in range(40):
@@ -371,6 +387,31 @@ def generator_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(generator_sets())
 def test_schreier_sims_matches_bruteforce_closure_on_any_shape(gens):
+    assert schreier_sims_order(gens) == len(mulclose(gens))
+
+
+@st.composite
+def shuffles_and_short_cycles(draw):
+    """1 to 3 permutations of at most 7 points, each a shuffle or a cycle
+    on 2 to 4 points, so that groups that are neither Alt nor Sym are
+    common."""
+    n = draw(st.integers(1, 7))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            gens.append(tuple(draw(st.permutations(range(n)))))
+            continue
+        points = draw(st.permutations(range(n)))[:draw(st.integers(2, 4))]
+        p = list(range(n))
+        for a, b in zip(points, points[1:] + points[:1]):
+            p[a] = b
+        gens.append(tuple(p))
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffles_and_short_cycles())
+def test_schreier_sims_matches_bruteforce_closure_on_shuffles_and_short_cycles(gens):
     assert schreier_sims_order(gens) == len(mulclose(gens))
 
 

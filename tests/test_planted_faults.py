@@ -23,6 +23,7 @@ import pytest
 
 from conftest import mulclose
 from gluedprod import (
+    BudgetError,
     CyclicGroup,
     FinPerm,
     GluedError,
@@ -69,10 +70,23 @@ def refused(call: Callable[[], object], error: type, match: str) -> None:
 
 
 def schreier_sims_against_closure() -> None:
+    """Two glued products, whose full order the sampling phase proves by its
+    bound, and two groups that are not full, so the completion runs: the
+    dihedral group of order 12 on 6 points, and the cyclic group of
+    (0 1)(2 5 4 3), whose four-step walks all return to the identity, so
+    the completion builds its second level."""
     for left, right in ((CyclicGroup(3), CyclicGroup(3)),
                         (TableGroup(symmetric_group_table(3)), CyclicGroup(2))):
         gens = realize_finite(left, right)
         agree(schreier_sims_order(gens), len(mulclose(gens)), f"order of {left} x {right}")
+    for name, gens in (("D12", [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]),
+                       ("C4", [(1, 0, 5, 2, 3, 4)])):
+        agree(schreier_sims_order(gens), len(mulclose(gens)), f"order of {name}")
+
+
+def point_cap_refusal() -> None:
+    refused(lambda: glued_order(CyclicGroup(33), CyclicGroup(33)),
+            BudgetError, "^65 points exceeds the cap of 64$")
 
 
 def check_mode_product() -> None:
@@ -218,7 +232,13 @@ FAULTS = [
           image_against_pushforward, AssertionError, "^pushforward failures"),
     Fault("sift-exit", groups._StabilizerChain, "sift",
           "return p, i", "return p, i - 1",
-          schreier_sims_against_closure, AssertionError, "^order of"),
+          schreier_sims_against_closure, AssertionError, "^order of C4"),
+    Fault("sampling-claims-the-bound", groups._StabilizerChain, "sample",
+          "return False", "return True",
+          schreier_sims_against_closure, AssertionError, "^order of D12"),
+    Fault("point-cap-off-by-one", groups, "check_point_cap",
+          "if n > POINT_CAP:", "if n > POINT_CAP + 1:",
+          point_cap_refusal, AssertionError, "accepted"),
     Fault("associativity-first-generator-only", groups.TableGroup, "_check_associativity",
           "for s in self.generators():", "for s in self.generators()[:1]:",
           loops_are_refused, AssertionError, "accepted"),

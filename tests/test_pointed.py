@@ -252,6 +252,25 @@ def test_perm_text_deterministic_under_cycle_rotation(pu):
     assert pu.format_perm(a) == pu.format_perm(b)
 
 
+def test_perm_text_reads_one_sort_key_per_support_point(pu, monkeypatch):
+    """Cycles by their least point, each from its least point, with the
+    support sorted once."""
+    a = FinPerm.from_cycles([[Point("h", 2), Point("g", -1)],
+                             [Point("g", 3), BASE, Point("h", -4)],
+                             [Point("h", 1), Point("g", 2), Point("h", -1)]])
+    calls = 0
+    original = PointedUnion.sort_key
+
+    def counting(self, p):
+        nonlocal calls
+        calls += 1
+        return original(self, p)
+
+    monkeypatch.setattr(PointedUnion, "sort_key", counting)
+    assert pu.format_perm(a) == "(e h:-4 g:3)(g:-1 h:2)(g:2 h:-1 h:1)"
+    assert calls == len(a.support()) == 8
+
+
 def test_translation_finite_side():
     pu = PointedUnion(IntegersGroup(), CyclicGroup(3))
     t = pu.translation("h", 1)
