@@ -35,7 +35,7 @@ from .groups import (
     format_value,
     parity_dense,
 )
-from .pointed import BASE, FinPerm, Point, PointedUnion, random_perm, side_points
+from .pointed import BASE, FinPerm, Point, PointedUnion, side_points
 
 PAIR_BUDGET = 10**7  # the most pairs, draws or residuals one check walks
 PAIR_CHECKS = ("multiplicativity", "window-closure")
@@ -130,7 +130,6 @@ class Window:
     point_set: frozenset[Point]  # C_n as a set
     g_ball: tuple[Element, ...]
     h_ball: tuple[Element, ...]
-    h_trivial: bool  # h = e on all of F_n, so h is not drawn
     even: bool  # residuals are even
     residuals: int  # the number of residuals
 
@@ -155,16 +154,14 @@ def window(ctx: PvContext, n: int) -> Window:
 
     This is the one place the per-side rule shapes a window.
     """
-    h_trivial = not ctx.h_kept
     g_ball = ctx.G.ball(n) if ctx.g_kept else [ctx.G.identity]
-    h_ball = [ctx.H.identity] if h_trivial else ctx.H.ball(n)
+    h_ball = ctx.H.ball(n) if ctx.h_kept else [ctx.H.identity]
     points = ((BASE,) + side_points(ctx.G, "g", n if ctx.g_kept else None)
-              + side_points(ctx.H, "h", None if h_trivial else n))
+              + side_points(ctx.H, "h", n if ctx.h_kept else None))
     even = not ctx.mixed_symmetric
     c = len(points)
     residuals = math.factorial(c) // (2 if even and c > 1 else 1)
-    return Window(points, frozenset(points), tuple(g_ball), tuple(h_ball), h_trivial,
-                  even, residuals)
+    return Window(points, frozenset(points), tuple(g_ball), tuple(h_ball), even, residuals)
 
 
 def window_points(ctx: PvContext, n: int) -> frozenset[Point]:
@@ -227,11 +224,8 @@ def window_element(ctx: PvContext, n: int, k: int) -> PvElement:
 
 
 def random_window_element(ctx: PvContext, n: int, rng: Random) -> PvElement:
-    w = window(ctx, n)
-    perm = random_perm(w.points, rng, w.even)
-    g = rng.choice(w.g_ball)
-    h = w.h_ball[0] if w.h_trivial else rng.choice(w.h_ball)
-    return PvElement(g, h, perm)
+    """A uniform element of F_n: the element at one uniform position."""
+    return window_element(ctx, n, rng.randrange(window(ctx, n).size))
 
 
 # ----------------------------------------------------------------------

@@ -334,7 +334,7 @@ def _lef_check(name: str, factors: Callable[[SuiteConfig], PvContext],
     @_check("lef", name)
     def check(cfg: SuiteConfig, rng: Random):
         r = report(lef.Approximation(factors(cfg), 1), cfg)
-        return r.ok, f"{r.pairs_checked} checks"
+        return r.ok, f"{r.pairs_checked} checks" if r.ok else r.failures[0]
 
 
 def _mixed(order: int) -> Callable[[SuiteConfig], PvContext]:
@@ -405,11 +405,6 @@ def _dynamics_pong(cfg: SuiteConfig, rng: Random):
         if not report.ok:
             return False, f"g={format_value(g)} h={format_value(h)}"
     return True, f"{len(pairs)} generator pairs"
-
-
-@_check("selftest", "always-fails")
-def _selftest_fail(cfg: SuiteConfig, rng: Random):
-    return False, "intentional failure exercising the report path"
 
 
 def run_suite(name: str, cfg: SuiteConfig,

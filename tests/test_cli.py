@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 
-from gluedprod import finite
+from gluedprod import core, finite
 from gluedprod.cli import main
 
 
@@ -234,16 +234,24 @@ def test_suite_jsonl_deterministic(capsys):
         assert json.loads(line)["ok"] is True
 
 
-def test_suite_failure_emits_working_repro(capsys):
-    code, out, _ = run_cli(capsys, "suite", "selftest")
+@pytest.fixture
+def invert_is_identity(monkeypatch):
+    """A planted fault: ``invert`` returns its argument, so the core suite's
+    inverse law fails on its first nontrivial draw."""
+    monkeypatch.setattr(core.PvContext, "invert", lambda self, s: s)
+
+
+def test_suite_failure_emits_working_repro(capsys, invert_is_identity):
+    code, out, _ = run_cli(capsys, "suite", "core", "--only", "inverse-law")
     assert code == 1
     line = out.strip().splitlines()[0]
-    assert line.startswith("FAIL selftest.always-fails")
+    assert line.startswith("FAIL core.inverse-law  g=1 h=-3 a=(")
     repro = line.split("repro:", 1)[1].strip()
+    assert repro == "gluedprod suite core --seed 42 --only inverse-law"
     argv = repro.split()[1:]  # drop the program name
     code2, out2, _ = run_cli(capsys, *argv)
     assert code2 == 1
-    assert "FAIL selftest.always-fails" in out2
+    assert "FAIL core.inverse-law" in out2
 
 
 def test_suite_unknown_name(capsys):
@@ -451,8 +459,9 @@ def test_lef_check_on_a_z4_factor(capsys):
     assert [json.loads(line)["pairs_checked"] for line in out.splitlines()] == [20, 20, 20]
 
 
-def test_suite_repro_carries_the_factors_and_budget(capsys):
-    argv = ("suite", "selftest", "--left", '{"type":"lattice","d":2}', "--budget", "7")
+def test_suite_repro_carries_the_factors_and_budget(capsys, invert_is_identity):
+    argv = ("suite", "core", "--only", "inverse-law",
+            "--left", '{"type":"lattice","d":2}', "--budget", "7")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     line = out.strip().splitlines()[0]
@@ -463,12 +472,13 @@ def test_suite_repro_carries_the_factors_and_budget(capsys):
     assert out2.strip() == line
 
 
-def test_suite_repro_takes_the_budget_from_the_environment(capsys, monkeypatch):
+def test_suite_repro_takes_the_budget_from_the_environment(capsys, monkeypatch,
+                                                          invert_is_identity):
     monkeypatch.setenv("PV_BUDGET", "3")
-    code, out, _ = run_cli(capsys, "suite", "selftest")
+    code, out, _ = run_cli(capsys, "suite", "core", "--only", "inverse-law")
     assert code == 1
     assert out.strip().endswith(
-        "repro: gluedprod suite selftest --seed 42 --only always-fails --budget 3")
+        "repro: gluedprod suite core --seed 42 --only inverse-law --budget 3")
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -24,6 +24,7 @@ from gluedprod import (
     PvElement,
     RegimeError,
     TableGroup,
+    WordParseError,
     symmetric_group_table,
     three_cycle,
     transposition,
@@ -207,6 +208,11 @@ def test_normalize_examples(zz):
         zz.normalize([("PERM", transposition(BASE, Point("g", 1)))])
 
 
+def test_normalize_refuses_an_unknown_letter_kind(zz):
+    with pytest.raises(WordParseError, match="^unknown letter kind 'X'$"):
+        zz.normalize([("X", "1")])
+
+
 def test_residual_parity_always_even(zz_fast):
     rng = Random(23)
     for _ in range(500):
@@ -361,6 +367,30 @@ def test_embed_rejects_non_homomorphism(zz):
     bad = lambda x: str(int(x) ** 2)
     with pytest.raises(MembershipError):
         embed(sub, zz, bad, bad, sub.identity)
+
+
+def test_embed_rejects_a_map_that_moves_the_identity(zz):
+    sub = PvContext(IntegersGroup(), IntegersGroup())
+    shift = lambda x: str(int(x) + 1)
+    with pytest.raises(MembershipError, match="^factor map does not preserve the identity$"):
+        embed(sub, zz, shift, shift, sub.identity)
+
+
+def test_embed_rejects_a_map_that_is_not_a_function(zz):
+    """Each call after the identity's flips the sign, so a repeated draw
+    gets two images."""
+    sub = PvContext(IntegersGroup(), IntegersGroup())
+    calls = itertools.count()
+    flip = lambda x: str(int(x) * (-1) ** next(calls))
+    with pytest.raises(MembershipError, match="^factor map is not a function$"):
+        embed(sub, zz, flip, flip, sub.identity)
+
+
+def test_embed_rejects_a_map_that_is_not_injective(zz):
+    sub = PvContext(IntegersGroup(), IntegersGroup())
+    trivial = lambda x: "0"
+    with pytest.raises(MembershipError, match="^factor map is not injective on samples$"):
+        embed(sub, zz, trivial, trivial, sub.identity)
 
 
 def test_mixed_regime_conventions(z_mod2):

@@ -17,6 +17,7 @@ from gluedprod import (
     Point,
     PvContext,
     RegimeError,
+    WordParseError,
 )
 from gluedprod.cubes import (
     BALL_VERTEX_CAP,
@@ -45,6 +46,13 @@ def test_s_invariant_examples():
     assert s_invariant(whole_g_side()) == 0
     assert s_invariant(g_side_without_base()) == -1
     assert s_invariant(CubeVertex(frozenset(), frozenset([Point("h", 1)]))) == 1
+
+
+def test_a_vertex_refuses_points_on_the_wrong_side():
+    with pytest.raises(WordParseError, match="^removed points live on the G side, got h:1$"):
+        CubeVertex(frozenset([Point("h", 1)]), frozenset())
+    with pytest.raises(WordParseError, match="^added points live on the H side, got g:1$"):
+        CubeVertex(frozenset(), frozenset([Point("g", 1)]))
 
 
 def test_distance_examples():

@@ -164,6 +164,11 @@ def test_window_points_and_membership(zz):
     assert not in_window(zz, zz.commutator("2", "1"), 1)
 
 
+def test_an_h_part_longer_than_n_is_outside_the_window(zz):
+    assert in_window(zz, zz.from_h("1"), 1)
+    assert not in_window(zz, zz.from_h("2"), 1)
+
+
 def test_window_elements_count(zz_fast):
     f1 = window_elements(zz_fast, 1)
     assert len(f1) == 3 * 3 * 60  # |B(1)|^2 x |Alt(5)|
@@ -389,6 +394,30 @@ def test_random_window_element_lies_in_window(zz_fast):
         assert in_window(zz_fast, s, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("left, right", [
+    (IntegersGroup(), IntegersGroup()),
+    (LatticeGroup(2), IntegersGroup()),
+    (IntegersGroup(), CyclicGroup(3)),
+    (CyclicGroup(3), IntegersGroup()),
+], ids=["ZxZ", "Z2xZ", "ZxZ3", "Z3xZ"])
+def test_a_random_window_element_is_a_uniform_position(left, right, n):
+    """One draw is one uniform position of F_n, decoded by ``window_element``."""
+    ctx = PvContext(left, right)
+    size = window(ctx, n).size
+    for seed in range(20):
+        s = random_window_element(ctx, n, Random(seed))
+        assert s == window_element(ctx, n, Random(seed).randrange(size))
+        assert in_window(ctx, s, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_window_has_one_size_whichever_side_is_finite(n):
+    left = window(PvContext(CyclicGroup(3), IntegersGroup()), n)
+    right = window(PvContext(IntegersGroup(), CyclicGroup(3)), n)
+    assert left.size == right.size
+
+
 def test_mixed_window_and_conventions():
     sym_ctx = PvContext(IntegersGroup(), CyclicGroup(2))
     c1 = window_points(sym_ctx, 1)
@@ -568,9 +597,9 @@ def test_check_counts_are_pinned(setup):
 # SHA-256 of the images the checks of ``test_check_counts_are_pinned``
 # compare, in the order they walk them
 IMAGE_DIGESTS = {
-    "Z2xZ mod 9": "01d35c95699c33bfbac2ab1c9d3e52582de6186e709d66440627bf9151df3942",
-    "ZxZ mod 17": "d0dc6d5c399d65d23a46ce115897787012cf59fa8a3106c4c1386c95cc8c62b0",
-    "ZxZ/3": "9dabd7251b916c0231b2fba9caa9d21a662654092ae59df94cf9fd9080de1dd9",
+    "Z2xZ mod 9": "beb12438a6eaaac41b07f2c35638f7e434073c46d19d7f65710d4c196ef3e272",
+    "ZxZ mod 17": "d374784fab721b556cc850d1611e4d80f5d7614d0995acb110e61bbc54ed5e99",
+    "ZxZ/3": "fa9ce2994c6b2cbeeb70817618617ed20d6eb8c912b90392bc493b8545275072",
 }
 
 

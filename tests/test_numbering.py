@@ -27,10 +27,10 @@ from gluedprod.lef import Approximation, random_window_element
 
 from conftest import finite_catalog
 
-# SHA-256 of the draws below, recorded before the point-set code was
-# merged into PointedUnion; any change to a seeded draw or to the
-# dense numbering changes it
-DRAWS_DIGEST = "407a7cb4a67ce594d229118ea9a4e17d8ce32036197e7ed29e9ec3b59aacc163"
+# SHA-256 of the draws below, recorded when a random window element
+# became the element at a uniform position of F_n; any change to a
+# seeded draw or to the dense numbering changes it
+DRAWS_DIGEST = "638a7323e78d43004af53cc9d963aff31e127db4c6abc440e107043970d4c8a3"
 
 
 def shifted_cyclic(n: int, shift: int) -> TableGroup:

@@ -11,7 +11,9 @@ up with the code it mutates.
 from __future__ import annotations
 
 import __future__
+import contextlib
 import inspect
+import io
 import re
 import sys
 import textwrap
@@ -35,7 +37,9 @@ from gluedprod import (
     PvContext,
     PvElement,
     TableGroup,
+    cli,
     core,
+    cubes,
     dynamics,
     finite,
     groups,
@@ -177,6 +181,23 @@ def folner_ratio_against_pointwise() -> None:
                   Fraction(len(image ^ F.points), len(F.points)), f"Folner ratio of {c}")
 
 
+def equivariance_of_the_projection() -> None:
+    approx = Approximation(PvContext(IntegersGroup(), IntegersGroup()), 1)
+    agree(approx.check_equivariance().failures[:1], [], "equivariance failures")
+
+
+def command(*argv: str) -> Callable[[], None]:
+    """An oracle that runs the command line: a nonzero exit is the fault,
+    reported with its output."""
+    def run() -> None:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        if code != 0:
+            raise AssertionError(f"exit {code}: {out.getvalue().strip()}")
+    return run
+
+
 def carried_parity_against_cycles() -> None:
     ctx = PvContext(IntegersGroup(), IntegersGroup())
     for word in ("H:1 G:1 H:-1 G:-1", "PERM:(g:1 g:2 g:3) G:2 H:1 PERM:(e h:1 h:2)"):
@@ -251,6 +272,29 @@ FAULTS = [
     Fault("carried-parity-flipped", pointed, "carry_parity",
           "out._carried = ex == ey", "out._carried = ex != ey",
           carried_parity_against_cycles, AssertionError, "^parity of"),
+    Fault("basepoint-to-the-inverse", pointed.PointedUnion, "apply_factor",
+          "y = x", "y = handle.inv(x)",
+          equivariance_of_the_projection, AssertionError,
+          r"^equivariance failures: \['g:1 at e'\]"),
+    Fault("lef-image-transposed", lef.Approximation, "_image",
+          "images[index[p]] = outer[index[q]]", "images[index[q]] = outer[index[p]]",
+          command("suite", "lef", "--only", "multiplicativity"), AssertionError,
+          r"^exit 1: FAIL lef\.multiplicativity  g=.* \| g=.*  \| repro: "
+          r"gluedprod suite lef --seed 42 --only multiplicativity$"),
+    Fault("transporter-reversed", cubes, "transporter",
+          "ctx.multiply(ctx.invert(carrier_w), carrier_v)",
+          "ctx.multiply(carrier_v, ctx.invert(carrier_w))",
+          command("suite", "cube", "--only", "transporter"), AssertionError,
+          r"^exit 1: FAIL cube\.transporter  error: transporter failed post-verification  "
+          r"\| repro: gluedprod suite cube --seed 42 --only transporter$"),
+    Fault("pong-letters-equal", dynamics, "free_semigroup_check",
+          '("h", ctx.from_h(h))', '("h", ctx.from_g(g))',
+          command("pong", "--g", "1", "--h", "1"), AssertionError, "^exit 1: COLLISION g = h$"),
+    Fault("full-order-halved", finite, "full_order",
+          '// (1 if kind == "Sym" else 2)', "// 2",
+          command("classify", "--left", '{"type":"cyclic","n":4}',
+              "--right", '{"type":"cyclic","n":3}', "--verify"), AssertionError,
+          r"^exit 1: Sym\(6\) MISMATCH: order 720 != 360$"),
 ]
 
 
@@ -282,3 +326,16 @@ def test_oracle_refuses_its_planted_fault(monkeypatch, fault):
     plant(monkeypatch, fault)
     with pytest.raises(fault.raises, match=fault.match):
         fault.oracle()
+
+
+def test_a_failing_lef_suite_check_names_its_first_failure(monkeypatch):
+    """The FAIL line of a lef suite check carries its report's first failure."""
+    fault = next(f for f in FAULTS if f.slug == "lef-image-transposed")
+    plant(monkeypatch, fault)
+    approx = Approximation(PvContext(IntegersGroup(), IntegersGroup()), 1)
+    report = approx.check_multiplicativity(mode="sample", sample=10**4, seed=42)
+    with pytest.raises(AssertionError) as failed:
+        fault.oracle()
+    assert str(failed.value) == (
+        f"exit 1: FAIL lef.multiplicativity  {report.failures[0]}  "
+        "| repro: gluedprod suite lef --seed 42 --only multiplicativity")
