@@ -726,14 +726,17 @@ def schreier_sims_order(generators: Sequence[Sequence[int]]) -> int:
     **Completion: incremental deterministic Schreier-Sims.**  No work is
     done twice.  The strong generators are append-only and the base
     prefix of an existing level never changes, so the generators of a
-    level only grow at their end.  Each transversal only grows, and
-    each entry's inverse is computed once and stored beside it.  Each
-    level records how many of its generators every orbit point has been
-    tested against, so re-completing a level extends its orbit and
-    sifts only the new (point, generator) pairs: an element that once
-    sifted to the identity still does, since the transversals below
-    keep every entry they had.  So the order stays exact for a group
-    that is not full.
+    level only grow at their end.  Both phases grow an orbit through
+    one routine, ``_StabilizerChain.close``, in which old orbit points
+    meet only the generators the level has not yet been closed under.
+    Each transversal only grows, and each entry's inverse is computed
+    once and stored beside it.  Completing a level first closes its
+    orbit, then sifts the Schreier generator of each (point, generator)
+    pair not yet tested; each level records how many of its generators
+    every orbit point has been tested against, so re-completing a level
+    sifts only the new pairs: an element that once sifted to the
+    identity still does, since the transversals below keep every entry
+    they had.  So the order stays exact for a group that is not full.
     """
     gens = list(generators)
     if not gens:
@@ -825,33 +828,36 @@ class _StabilizerChain:
                 return True
         return False
 
-    def close_orbits(self) -> int:
-        """Close each orbit under the level generators it has not met, and
-        return the product of the orbit sizes.
+    def close(self, level: _Level) -> None:
+        """Close the orbit of ``level`` under its generators; old points
+        meet only those past ``level.closed``.  Closure sifts no Schreier
+        generator, so a point it finds starts with ``tested`` at 0."""
+        gens, orbit, reps, inverses = level.gens, level.orbit, level.reps, level.inverses
+        old, fresh = len(orbit), gens[level.closed:]
+        for k, a in enumerate(orbit):  # the loop meets the points it appends
+            for g in fresh if k < old else gens:
+                b = g[a]
+                if b not in reps:
+                    u = compose_dense(g, reps[a])
+                    reps[b] = u
+                    inverses[b] = inverse_dense(u)
+                    orbit.append(b)
+                    level.tested.append(0)
+        level.closed = len(gens)
 
-        Old points meet only the new generators.  An orbit at depth d
-        that holds n - d points holds every point but the earlier base
-        points, so it is closed already.  Closure sifts no Schreier
-        generator, so a point it finds starts with ``tested`` at 0.
+    def close_orbits(self) -> int:
+        """Close each orbit that has unmet generators, and return the
+        product of the orbit sizes.
+
+        An orbit at depth d that holds n - d points holds every point but
+        the earlier base points, so it is closed already.
         """
         order = 1
         n = len(self.identity)
         for depth, level in enumerate(self.levels):
-            gens, orbit, reps, inverses = level.gens, level.orbit, level.reps, level.inverses
-            old, start = len(orbit), level.closed
-            if start < len(gens) and old < n - depth:
-                fresh = gens[start:]
-                for k, a in enumerate(orbit):  # the loop meets the points it appends
-                    for g in fresh if k < old else gens:
-                        b = g[a]
-                        if b not in reps:
-                            u = compose_dense(g, reps[a])
-                            reps[b] = u
-                            inverses[b] = inverse_dense(u)
-                            orbit.append(b)
-                            level.tested.append(0)
-            level.closed = len(gens)
-            order *= len(orbit)
+            if level.closed < len(level.gens) and len(level.orbit) < n - depth:
+                self.close(level)
+            order *= len(level.orbit)
         return order
 
     def sift(self, p: DensePerm, i: int) -> tuple[DensePerm, int]:
@@ -871,31 +877,24 @@ class _StabilizerChain:
     def complete(self, i: int) -> None:
         """Make level i complete, given that the levels below it are.
 
-        Only the generators present on entry are tested; one appended
-        meanwhile lies in the group they generate, and meets the orbit
-        the next time this level is completed.
+        The orbit is closed first, so each (point, generator) pair not yet
+        tested only sifts its Schreier generator.  Only the generators
+        present on entry are tested; one appended meanwhile lies in the
+        group they generate, and meets the orbit the next time this level
+        is completed.
         """
         identity = self.identity
         level = self.levels[i]
-        m = len(level.gens)
-        orbit, reps, inverses, tested = level.orbit, level.reps, level.inverses, level.tested
-        k = 0
-        while k < len(orbit):
+        if level.closed < len(level.gens):
+            self.close(level)
+        m = level.closed
+        inverses, tested = level.inverses, level.tested
+        for k, a in enumerate(level.orbit):
             start = tested[k]
             tested[k] = m
-            a = orbit[k]
-            ta = reps[a]
+            ta = level.reps[a]
             for g in level.gens[start:m]:
-                gta = compose_dense(g, ta)
-                b = g[a]
-                inv_b = inverses.get(b)
-                if inv_b is None:  # a new orbit point; its Schreier generator is trivial
-                    reps[b] = gta
-                    inverses[b] = inverse_dense(gta)
-                    orbit.append(b)
-                    tested.append(0)
-                    continue
-                schreier = compose_dense(inv_b, gta)
+                schreier = compose_dense(inverses[g[a]], compose_dense(g, ta))
                 if schreier == identity:
                     continue
                 residue, j = self.sift(schreier, i + 1)
@@ -903,4 +902,3 @@ class _StabilizerChain:
                     self.add_strong(residue)
                     for below in range(j, i, -1):
                         self.complete(below)
-            k += 1

@@ -37,6 +37,11 @@ def element(ctx: PvContext, rng: Random, span: int = 5) -> PvElement:
     return ctx.element(g=g, h=h, a=even_perm(ctx, rng))
 
 
+def side_point(handle, side: str, rng: Random, span: int = 6) -> Point:
+    """A random non-basepoint point of one side's radius-span ball."""
+    return rng.choice(_side_points(handle, side, span))
+
+
 def points(owner, rng: Random, count: int, span: int = 8) -> list[Point]:
     """Random probe points; ``owner`` is anything with G and H handles."""
     pools = {

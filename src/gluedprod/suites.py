@@ -1,9 +1,13 @@
 """Deterministic property-suite runner backing the ``suite`` subcommand.
 
-Each suite re-runs the module's invariants at desk scale with a seeded
-generator; identical (seed, config) pairs produce byte-identical
-reports.  Failures carry a reproduction command line; checks that do
-not apply to the configured factors are reported as skipped.
+Each suite re-runs the module's invariants at desk scale.  A check only
+declares ``fn(cfg, rng) -> (ok, detail)``; ``run_suite`` seeds, runs,
+skips and reports the selected checks in one loop.  Each generator is
+seeded from the seed and the check's name, so identical (seed, config)
+pairs produce byte-identical reports.  A check that raises
+GroupSpecError or RegimeError does not apply to the configured factors
+and is reported as skipped; any other GluedError fails it with an
+``error:`` detail.  Failures carry a reproduction command line.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, Optional
 
 from . import cubes, dynamics, lef
 from .core import PvContext
-from .errors import FiberMismatchError, GluedError, GroupSpecError, RegimeError
+from .errors import BudgetError, FiberMismatchError, GluedError, GroupSpecError, RegimeError
 from .finite import classify, translation_sign, verify_classification
 from .groups import (
     CyclicGroup,
@@ -34,6 +38,7 @@ from .groups import (
 from .pointed import PointedUnion
 from .sampling import element as sample_element
 from .sampling import points as sample_points
+from .sampling import side_point as sample_side_point
 from .sampling import vertex as sample_vertex
 
 SUITE_NAMES = ("core", "finite", "cube", "lef", "dynamics")
@@ -65,49 +70,13 @@ class SuiteConfig:
         return nominal if cap is None else min(nominal, cap)
 
 
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    ok: Optional[bool]  # None: the check does not apply to the configured factors
-    detail: str
-
-    def repro(self, cfg: SuiteConfig) -> str:
-        """A command line that re-runs just this check under ``cfg``: the
-        factors when they are not the default, and the case budget when
-        one is in force (from ``--budget`` or ``PV_BUDGET``)."""
-        argv = ["gluedprod", "suite", self.suite, "--seed", str(cfg.seed), "--only", self.name]
-        for flag, spec in (("--left", cfg.left), ("--right", cfg.right)):
-            if spec != DEFAULT_SPEC:
-                argv += [flag, json.dumps(spec, separators=(",", ":"))]
-        budget = cfg.limit()
-        if budget is not None:
-            argv += ["--budget", str(budget)]
-        return shlex.join(argv)
-
-
-_SUITES: dict[str, dict[str, Callable[[SuiteConfig], CheckResult]]] = {}
+_SUITES: dict[str, dict[str, Callable[[SuiteConfig, Random], tuple[bool, str]]]] = {}
 
 
 def _check(suite: str, name: str):
-    """Declare ``fn(cfg, rng) -> (ok, detail)`` as the check ``suite.name``.
-
-    The rng is seeded from the seed and the declared name.  A check whose
-    factors it does not apply to raises GroupSpecError or RegimeError and
-    is reported as skipped.
-    """
+    """Declare ``fn(cfg, rng) -> (ok, detail)`` as the check ``suite.name``."""
     def register(fn: Callable[[SuiteConfig, Random], tuple[bool, str]]):
-        def run(cfg: SuiteConfig) -> CheckResult:
-            rng = Random(cfg.seed * 1000003 + zlib.crc32(f"{suite}.{name}".encode()))
-            try:
-                ok, detail = fn(cfg, rng)
-            except (GroupSpecError, RegimeError) as exc:
-                return CheckResult(suite, name, None, str(exc))
-            except GluedError as exc:
-                return CheckResult(suite, name, False, f"error: {exc}")
-            return CheckResult(suite, name, ok, detail)
-
-        _SUITES.setdefault(suite, {})[name] = run
+        _SUITES.setdefault(suite, {})[name] = fn
         return fn
     return register
 
@@ -167,23 +136,17 @@ def _core_residual_parity(ctx: PvContext, rng: Random):
     return None if prod.a.is_even() else ctx.format_element(prod)
 
 
-@_check("core", "commutator-identity")
-def _core_commutator(cfg: SuiteConfig, rng: Random):
-    ctx = _ctx(cfg)
-    count = cfg.cap(1000)
-    pool_g = [x for x in ctx.G.ball(6) if x != ctx.G.identity]
-    pool_h = [y for y in ctx.H.ball(6) if y != ctx.H.identity]
-    for _ in range(count):
-        g = rng.choice(pool_g)
-        h = rng.choice(pool_h)
-        c = ctx.commutator(g, h)
-        word = ctx.normalize([("G", g), ("H", h),
-                              ("G", ctx.G.inv(g)), ("H", ctx.H.inv(h))])
-        if word != c:
-            return False, f"g={format_value(g)} h={format_value(h)}"
-        if ctx.multiply(ctx.multiply(c, c), c) != ctx.identity:
-            return False, f"cube not trivial at g={format_value(g)} h={format_value(h)}"
-    return True, f"{count} pairs"
+@_sampled("core", "commutator-identity", 1000, "pairs")
+def _core_commutator(ctx: PvContext, rng: Random):
+    g = sample_side_point(ctx.G, "g", rng).payload
+    h = sample_side_point(ctx.H, "h", rng).payload
+    c = ctx.commutator(g, h)
+    word = ctx.normalize([("G", g), ("H", h), ("G", ctx.G.inv(g)), ("H", ctx.H.inv(h))])
+    if word != c:
+        return f"g={format_value(g)} h={format_value(h)}"
+    if ctx.multiply(ctx.multiply(c, c), c) != ctx.identity:
+        return f"cube not trivial at g={format_value(g)} h={format_value(h)}"
+    return None
 
 
 @_sampled("core", "inverse-law", 1000, "elements")
@@ -277,7 +240,14 @@ def _cube_action(ctx: PvContext, rng: Random):
 @_check("cube", "adjacent-fixed-pair")
 def _cube_fixed_pair(cfg: SuiteConfig, rng: Random):
     ctx = _ctx(cfg)
-    vertices = cubes.vertex_ball(ctx, 3, 3)
+    # the largest payload bound up to 3 whose ball fits the vertex cap;
+    # bound 0 always fits, with 2 vertices
+    for bound in (3, 2, 1, 0):
+        try:
+            vertices = cubes.vertex_ball(ctx, 3, bound)
+        except BudgetError:
+            continue
+        break
     pairs = [
         (x, y)
         for x in vertices if cubes.fixed_by_G(x)
@@ -407,6 +377,20 @@ def _dynamics_pong(cfg: SuiteConfig, rng: Random):
     return True, f"{len(pairs)} generator pairs"
 
 
+def _repro(suite: str, name: str, cfg: SuiteConfig) -> str:
+    """A command line that re-runs just the check ``suite.name`` under
+    ``cfg``: the factors when they are not the default, and the case
+    budget when one is in force (from ``--budget`` or ``PV_BUDGET``)."""
+    argv = ["gluedprod", "suite", suite, "--seed", str(cfg.seed), "--only", name]
+    for flag, spec in (("--left", cfg.left), ("--right", cfg.right)):
+        if spec != DEFAULT_SPEC:
+            argv += [flag, json.dumps(spec, separators=(",", ":"))]
+    budget = cfg.limit()
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    return shlex.join(argv)
+
+
 def run_suite(name: str, cfg: SuiteConfig,
               only: Optional[str] = None) -> tuple[int, list[str]]:
     """Run one suite (or ``all``); returns (exit code, report lines).
@@ -423,19 +407,26 @@ def run_suite(name: str, cfg: SuiteConfig,
     if only is not None and not any(only in _SUITES[suite] for suite in names):
         raise GluedError(f"no check {only!r} in suite {name!r}")
     cfg.limit()  # a bad budget is one error, not a failure of every check
-    results = [run(cfg) for suite in names
-               for check, run in _SUITES[suite].items()
-               if only is None or check == only]
-    lines = []
-    for r in results:
-        check = f"{r.suite}.{r.name}"
-        if r.ok is None:
-            record, text = {"skipped": True}, f"skip {check}  {r.detail}"
-        elif r.ok:
-            record, text = {"ok": True}, f"ok   {check}  {r.detail}"
-        else:
-            record = {"ok": False, "repro": r.repro(cfg)}
-            text = f"FAIL {check}  {r.detail}  | repro: {r.repro(cfg)}"
-        lines.append(json.dumps({"check": check, "detail": r.detail, **record}, sort_keys=True)
-                     if cfg.fmt == "jsonl" else text)
-    return (1 if any(r.ok is False for r in results) else 0), lines
+    code, lines = 0, []
+    for suite in names:
+        for check, fn in _SUITES[suite].items():
+            if only is not None and check != only:
+                continue
+            label = f"{suite}.{check}"
+            try:
+                ok, detail = fn(cfg, Random(cfg.seed * 1000003 + zlib.crc32(label.encode())))
+            except (GroupSpecError, RegimeError) as exc:
+                ok, detail = None, str(exc)
+            except GluedError as exc:
+                ok, detail = False, f"error: {exc}"
+            if ok is None:
+                record, text = {"skipped": True}, f"skip {label}  {detail}"
+            elif ok:
+                record, text = {"ok": True}, f"ok   {label}  {detail}"
+            else:
+                code, repro = 1, _repro(suite, check, cfg)
+                record = {"ok": False, "repro": repro}
+                text = f"FAIL {label}  {detail}  | repro: {repro}"
+            lines.append(json.dumps({"check": label, "detail": detail, **record}, sort_keys=True)
+                         if cfg.fmt == "jsonl" else text)
+    return code, lines

@@ -409,6 +409,19 @@ def test_suite_only_runs_just_the_named_check(capsys, monkeypatch):
     assert out.strip() == "ok   core.residual-parity  20 products even"
 
 
+@pytest.mark.parametrize("left, right, scanned", [
+    ('{"type":"free","rank":2}', '{"type":"free","rank":2}', 6018),
+    ('{"type":"free","rank":3}', '{"type":"integers"}', 11522),
+    ('{"type":"lattice","d":4}', '{"type":"integers"}', 15226),
+])
+def test_adjacent_fixed_pair_scans_the_largest_ball_under_the_cap(capsys, left, right, scanned):
+    """The payload-bound-3 ball of each pair exceeds the vertex cap, so
+    the scan takes the bound-2 ball, not a budget error."""
+    code, out, _ = run_cli(capsys, "suite", "cube", "--only", "adjacent-fixed-pair",
+                           "--left", left, "--right", right)
+    assert (code, out) == (0, f"ok   cube.adjacent-fixed-pair  {scanned} vertices scanned\n")
+
+
 def test_suite_only_with_no_such_check_is_one_error_line(capsys):
     for suite in ("lef", "all"):
         code, out, err = run_cli(capsys, "suite", suite, "--only", "nothing")

@@ -298,6 +298,60 @@ FAULTS = [
 ]
 
 
+def suite_fault(slug: str, owner: object, attr: str, old: str, new: str,
+                check: str, detail: str) -> Fault:
+    """A fault under which the suite check ``check`` (``suite.name``), run
+    alone, fails with ``detail`` and its repro line."""
+    suite, name = check.split(".")
+    return Fault(slug, owner, attr, old, new, command("suite", suite, "--only", name),
+                 AssertionError,
+                 rf"^exit 1: FAIL {re.escape(check)}  {re.escape(detail)}  "
+                 rf"\| repro: gluedprod suite {suite} --seed 42 --only {name}$")
+
+
+# the failure return of every suite check that no other test reaches
+FAULTS += [
+    suite_fault("commutator-sides-swapped", core.PvContext, "commutator",
+                'three_cycle(BASE, Point("g", g), Point("h", h))',
+                'three_cycle(BASE, Point("h", h), Point("g", g))',
+                "core.commutator-identity", "g=1 h=6"),
+    suite_fault("commutator-term-dropped", core.PvContext, "multiply",
+                "if a1 or not commutes:", "if not commutes:",
+                "core.commutator-identity", "cube not trivial at g=1 h=6"),
+    suite_fault("projection-swapped", core.PvContext, "project",
+                "return (g, s.h)", "return (s.h, g)",
+                "core.projection-monolith", "projection not multiplicative"),
+    suite_fault("classify-always-alt", finite, "classify",
+                'return "Sym"', 'return "Alt"',
+                "finite.catalog-classification", "cyclic(2) vs cyclic(2)"),
+    suite_fault("translation-sign-always-even", finite, "translation_sign",
+                "return -1 if", "return 1 if",
+                "finite.translation-signs", "Z2 element 1"),
+    suite_fault("classify-left-factor-only", finite, "classify",
+                "if has_cyclic_two_sylow(G) or has_cyclic_two_sylow(H):",
+                "if has_cyclic_two_sylow(G):",
+                "finite.classify-symmetric", "cyclic(2) vs cyclic(3)"),
+    suite_fault("act-vertex-drops-added", cubes, "act_vertex",
+                "added.add(q)", "pass",
+                "cube.s-invariance", "fiber moved"),
+    suite_fault("monolith-empty", core.PvContext, "in_monolith",
+                "return s.g == self.G.identity and s.h == self.H.identity", "return False",
+                "cube.transporter", "bad transporter"),
+    suite_fault("cross-fiber-transport", cubes, "transporter",
+                "raise FiberMismatchError(", "return ctx.identity or FiberMismatchError(",
+                "cube.transporter", "cross-fiber transport accepted"),
+    suite_fault("folner-ratio-zero", dynamics, "folner_ratio",
+                "return Fraction(2 * (F.size - kept), F.size)", "return Fraction(0)",
+                "dynamics.folner-ratios", "n=1"),
+    suite_fault("folner-ratio-adds-h", dynamics, "folner_ratio",
+                "g = s.g", "g = s.g + s.h",
+                "dynamics.folner-ratios", "n=1 (H side)"),
+    suite_fault("pong-catalog-letters-equal", dynamics, "free_semigroup_check",
+                '("h", ctx.from_h(h))', '("h", ctx.from_g(g))',
+                "dynamics.pong-catalog", "g=1 h=1"),
+]
+
+
 def plant(monkeypatch, fault: Fault) -> None:
     """Recompile ``fault.attr`` with its one text replaced and bind the mutant
     wherever the package binds the original."""
