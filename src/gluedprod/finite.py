@@ -4,12 +4,13 @@ When both factors are finite the glued product is a subgroup of the
 symmetric group on |G| + |H| - 1 points, and it is the full symmetric
 group exactly when one factor has a nontrivial cyclic 2-Sylow subgroup,
 the alternating group otherwise.  A factor has one exactly when some
-regular translation of it is odd, which is how ``classify`` decides,
-and the Schreier-Sims order engine of ``groups`` verifies it
-independently.  That engine is given only the translations T_s for s in
-a greedy generating set of each factor (``GroupHandle.generators``).
-Since x -> T_x is a homomorphism, they generate the whole glued
-product, and 31 points take about 1 ms.
+regular translation of it is odd, which is how ``classify`` decides.
+``glued_order`` computes the order independently from the translations
+T_s for s in a greedy generating set of each factor
+(``GroupHandle.generators``); since x -> T_x is a homomorphism, they
+generate the whole glued product.  The commutator of two of them is a
+3-cycle, and ``groups.alt_sym_order`` certifies Alt or Sym from it;
+the Schreier-Sims engine runs only when the certificate fails.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ import math
 from typing import Sequence
 
 from .errors import GroupSpecError
-from .groups import DensePerm, Element, GroupHandle, check_point_cap, schreier_sims_order
+from .groups import (
+    DensePerm,
+    Element,
+    GroupHandle,
+    alt_sym_order,
+    check_point_cap,
+    compose_dense,
+    inverse_dense,
+    schreier_sims_order,
+)
 from .pointed import PointedUnion
 
 
@@ -85,17 +95,31 @@ def classify(G: GroupHandle, H: GroupHandle) -> str:
 
 
 def glued_order(G: GroupHandle, H: GroupHandle) -> int:
-    """Order of the glued product computed by Schreier-Sims.
+    """Order of the glued product, certified from one 3-cycle.
 
     Only the translations by a greedy generating set of each factor
     (``GroupHandle.generators``) are realised: x -> T_x is a
     homomorphism, so they generate the same group as the translations
-    by every element, and the engine sifts far fewer Schreier
-    generators.
+    by every element.  For nontrivial g and h the commutator
+    [T_g, T_h] is the 3-cycle (e g h), so the commutator c of the first
+    translation of each side lies in the group, and
+    ``groups.alt_sym_order`` proves n! or n!/2 from the block closure of
+    supp(c) and the parities of the generators.  Schreier-Sims computes
+    the order only when that certificate fails, which happens when a
+    factor is trivial; over two nontrivial factors the group is Alt or
+    Sym, and then the certificate always holds.
     """
     if G.is_finite and H.is_finite:  # generators() rejects the other factors
         check_point_cap(G.order() + H.order() - 1)
-    return schreier_sims_order(realize_finite(G, H, (G.generators(), H.generators())))
+    gen_g, gen_h = G.generators(), H.generators()
+    gens = realize_finite(G, H, (gen_g, gen_h))
+    if gen_g and gen_h:
+        tg, th = gens[0], gens[len(gen_g)]
+        c = compose_dense(inverse_dense(compose_dense(th, tg)), compose_dense(tg, th))
+        order = alt_sym_order(gens, c)
+        if order is not None:
+            return order
+    return schreier_sims_order(gens)
 
 
 def full_order(kind: str, n: int) -> int:

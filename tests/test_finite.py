@@ -17,6 +17,7 @@ from gluedprod import (
     IntegersGroup,
     PointedUnion,
     PvContext,
+    finite,
     groups,
     schreier_sims_order,
 )
@@ -29,7 +30,7 @@ from gluedprod.finite import (
     translation_sign,
     verify_classification,
 )
-from gluedprod.groups import compose_dense, parity_dense
+from gluedprod.groups import alt_sym_order, compose_dense, parity_dense
 
 from conftest import finite_catalog, mulclose
 
@@ -200,19 +201,27 @@ def test_a_table_factor_picks_its_generators_once(monkeypatch):
     assert picks == 2  # the second is Z2's
 
 
+def _engine_order(G, H) -> int:
+    """The Schreier-Sims order of the generators ``glued_order`` realises."""
+    return schreier_sims_order(realize_finite(G, H, (G.generators(), H.generators())))
+
+
 def test_glued_order_leaves_no_reference_cycle():
-    """A self-referring closure would park the engine's orbits until a
-    generation-2 collection, and raise the peak memory of a run."""
+    """A self-referring closure, in the certificate's union-find or the
+    engine's orbits, would park its data until a generation-2
+    collection, and raise the peak memory of a run."""
     gc.disable()
     try:
         gc.collect()
         glued_order(CyclicGroup(9), CyclicGroup(10))
         assert gc.collect() == 0
+        _engine_order(CyclicGroup(9), CyclicGroup(10))
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-def test_glued_order_inverts_each_transversal_entry_once(monkeypatch):
+def test_schreier_sims_inverts_each_transversal_entry_once(monkeypatch):
     """18 points: Sym(18) has 17 + 16 + ... + 1 = 153 non-identity
     transversal entries, each inverted at most once, and the
     composition count stays far below the 82,661 of a non-incremental
@@ -230,7 +239,7 @@ def test_glued_order_inverts_each_transversal_entry_once(monkeypatch):
 
     monkeypatch.setattr(groups, "compose_dense", counted_compose)
     monkeypatch.setattr(groups, "inverse_dense", counted_inverse)
-    assert glued_order(CyclicGroup(9), CyclicGroup(10)) == math.factorial(18)
+    assert _engine_order(CyclicGroup(9), CyclicGroup(10)) == math.factorial(18)
     assert 0 < calls["inverse"] <= 153
     assert 0 < calls["compose"] < 30000
 
@@ -254,9 +263,9 @@ def test_the_orbit_bound_proves_full_products(monkeypatch):
         raise AssertionError("the completion ran")
 
     monkeypatch.setattr(groups._StabilizerChain, "complete", refuse)
-    assert glued_order(CyclicGroup(9), CyclicGroup(10)) == math.factorial(18)
-    assert glued_order(CyclicGroup(16), CyclicGroup(16)) == math.factorial(31)
-    assert glued_order(_alt5(), CyclicGroup(5)) == math.factorial(64) // 2
+    assert _engine_order(CyclicGroup(9), CyclicGroup(10)) == math.factorial(18)
+    assert _engine_order(CyclicGroup(16), CyclicGroup(16)) == math.factorial(31)
+    assert _engine_order(_alt5(), CyclicGroup(5)) == math.factorial(64) // 2
 
 
 def test_one_bracketing_of_an_iterated_product_at_the_point_cap():
@@ -267,6 +276,49 @@ def test_one_bracketing_of_an_iterated_product_at_the_point_cap():
     assert A5.order() + 5 - 1 == groups.POINT_CAP
     assert classify(A5, CyclicGroup(5)) == "Alt"
     assert glued_order(A5, CyclicGroup(5)) == math.factorial(64) // 2
+
+
+def _refuse_schreier_sims(gens):
+    raise AssertionError("Schreier-Sims ran")
+
+
+def test_the_certificate_orders_every_nontrivial_product(monkeypatch):
+    """Every finite-catalog pair and every pair of nontrivial cyclic factors
+    up to the point cap gets its order from the 3-cycle certificate."""
+    monkeypatch.setattr(finite, "schreier_sims_order", _refuse_schreier_sims)
+    pairs = list(itertools.product(finite_catalog().values(), repeat=2))
+    pairs += [(CyclicGroup(a), CyclicGroup(b)) for a in range(2, groups.POINT_CAP)
+              for b in range(2, groups.POINT_CAP + 2 - a)]
+    for G, H in pairs:
+        n = G.order() + H.order() - 1
+        assert glued_order(G, H) == full_order(classify(G, H), n), (G, H)
+
+
+def test_a_trivial_factor_falls_back_to_schreier_sims():
+    """C1 glued C4 is the regular action of C4 on 4 points: no 3-cycle."""
+    assert glued_order(CyclicGroup(1), CyclicGroup(4)) == 4
+    assert glued_order(CyclicGroup(1), CyclicGroup(1)) == 1
+
+
+@st.composite
+def _gens_with_a_three_cycle(draw):
+    n = draw(st.integers(min_value=3, max_value=7))
+    x, y, z = draw(st.permutations(range(n)))[:3]
+    cycle = list(range(n))
+    cycle[x], cycle[y], cycle[z] = y, z, x
+    others = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=3))
+    gens = draw(st.permutations([tuple(cycle)] + others))
+    return n, gens, tuple(cycle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gens_with_a_three_cycle())
+def test_alt_sym_order_against_closure(drawn):
+    """The certificate gives the order exactly when the generated group is
+    Alt(n) or Sym(n), its only subgroups of index at most 2."""
+    n, gens, c = drawn
+    order = len(mulclose(gens))
+    assert alt_sym_order(gens, c) == (order if 2 * order >= math.factorial(n) else None)
 
 
 def test_compose_dense_convention():

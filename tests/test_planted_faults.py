@@ -14,6 +14,7 @@ import __future__
 import contextlib
 import inspect
 import io
+import math
 import re
 import sys
 import textwrap
@@ -50,7 +51,7 @@ from gluedprod import (
     transposition,
 )
 from gluedprod.finite import classify, full_order, glued_order, realize_finite
-from gluedprod.groups import parity_dense
+from gluedprod.groups import compose_dense, inverse_dense, parity_dense
 from gluedprod.lef import Approximation, FiniteQuotient
 
 # ----------------------------------------------------------------------
@@ -86,6 +87,25 @@ def schreier_sims_against_closure() -> None:
     for name, gens in (("D12", [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]),
                        ("C4", [(1, 0, 5, 2, 3, 4)])):
         agree(schreier_sims_order(gens), len(mulclose(gens)), f"order of {name}")
+
+
+def alt_sym_against_closure() -> None:
+    """Alt(5) from C3 glued C3 and its commutator, and three groups with a
+    c that certifies nothing: D8 with c = (0 1)(2 3), not a 3-cycle;
+    C3 wr C2 on 6 points with c = (0 1 2), whose support is a block; and
+    the intransitive <(0 1 2), (3 4)>."""
+    left, right = CyclicGroup(3), CyclicGroup(3)
+    tg, th = realize_finite(left, right, (left.generators(), right.generators()))
+    commutator = compose_dense(inverse_dense(compose_dense(th, tg)), compose_dense(tg, th))
+    for name, gens, c in (("Alt(5)", [tg, th], commutator),
+                          ("D8", [(1, 2, 3, 0), (2, 1, 0, 3)], (1, 0, 3, 2)),
+                          ("C3 wr C2", [(1, 2, 0, 3, 4, 5), (3, 4, 5, 0, 1, 2)],
+                           (1, 2, 0, 3, 4, 5)),
+                          ("<(0 1 2), (3 4)>", [(1, 2, 0, 3, 4), (0, 1, 2, 4, 3)],
+                           (1, 2, 0, 3, 4))):
+        order = len(mulclose(gens))
+        full = 2 * order >= math.factorial(len(c))  # Alt and Sym: index at most 2
+        agree(groups.alt_sym_order(gens, c), order if full else None, f"certificate of {name}")
 
 
 def point_cap_refusal() -> None:
@@ -257,6 +277,15 @@ FAULTS = [
     Fault("sampling-claims-the-bound", groups._StabilizerChain, "sample",
           "return False", "return True",
           schreier_sims_against_closure, AssertionError, "^order of D12"),
+    Fault("certificate-support-loosened", groups, "alt_sym_order",
+          "if len(support) != 3:", "if len(support) < 3:",
+          alt_sym_against_closure, AssertionError, r"^certificate of D8: 24 != None$"),
+    Fault("certificate-class-count-off-by-one", groups, "alt_sym_order",
+          "classes = n\n", "classes = n - 1\n",
+          alt_sym_against_closure, AssertionError, r"^certificate of C3 wr C2: 720 != None$"),
+    Fault("certificate-parity-inverted", groups, "alt_sym_order",
+          "return order if any(", "return order if not any(",
+          alt_sym_against_closure, AssertionError, r"^certificate of Alt\(5\): 120 != 60$"),
     Fault("point-cap-off-by-one", groups, "check_point_cap",
           "if n > POINT_CAP:", "if n > POINT_CAP + 1:",
           point_cap_refusal, AssertionError, "accepted"),
