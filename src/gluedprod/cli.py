@@ -12,6 +12,7 @@ from .core import PvContext
 from .errors import GluedError, GroupSpecError, WordParseError
 from .finite import classify, full_order, glued_order
 from .groups import parse_group
+from .pointed import check_absorbed
 from .suites import SuiteConfig, run_suite
 
 
@@ -148,7 +149,7 @@ def cmd_folner(args) -> int:
 def cmd_suite(args) -> int:
     left, right = _load_spec(args.left), _load_spec(args.right)
     for spec in (left, right):
-        parse_group(spec)  # a malformed spec is an error, not a reason to skip
+        check_absorbed(parse_group(spec))  # a bad spec is an error, not a reason to skip
     cfg = SuiteConfig(seed=args.seed, budget=args.budget, left=left, right=right,
                       fmt=args.format)
     code, lines = run_suite(args.name, cfg, only=args.only)

@@ -642,9 +642,9 @@ def symmetric_group_table(n: int) -> list[list[int]]:
 DensePerm = tuple[int, ...]
 
 # The most points the order engine and ``finite.glued_order`` take.  At
-# 64 points, Schreier-Sims on the generators of C32 glued with C33 takes
-# about 12 ms, and ``glued_order`` with its 3-cycle certificate about
-# 0.06 ms (2-CPU x86 host, Python 3.11).
+# 64 points both certify C32 glued with C33 from a 3-cycle, in about
+# 0.4 ms and 0.06 ms; the engine's completion takes about 0.3 s on
+# Sym(32) x Sym(32) (2-CPU x86 host, Python 3.11).
 POINT_CAP = 64
 
 
@@ -748,44 +748,25 @@ def alt_sym_order(gens: Sequence[DensePerm], c: DensePerm) -> Optional[int]:
 def schreier_sims_order(generators: Sequence[Sequence[int]]) -> int:
     """Exact order of the permutation group generated by ``generators``.
 
-    Schreier-Sims in two phases (Seress, *Permutation Group Algorithms*,
-    2003, ch. 4; Holt, Eick and O'Brien, *Handbook of Computational
-    Group Theory*, 2005, 4.4).  The result is the product of the basic
-    orbit sizes along a stabilizer chain.
+    Certificate first, completion second (Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4; Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, 4.4).  When the orbit of the
+    first base point holds every point, a 3-cycle found by
+    ``_three_cycle`` may let ``alt_sym_order`` prove n! or n!/2.  An
+    intransitive group skips the search: on 3 or more points it is
+    neither Alt nor Sym.
 
-    **Sampling: a known order bound.**  The group G has at most c
-    elements, where c is n!, or n!/2 when every generator is even.
-    Seeded random walks of ``_WALK_STEPS`` generator steps (4) are
-    sifted from the first level; a residue that is not the identity
-    joins the chain as a strong generator, and the orbit of every level
-    it joined is closed.  Lemma: for any partial chain with base points
-    b_0, b_1, ..., the product of the orbit sizes is at most |G|, which
-    is at most c.  Every orbit point has a transversal element in G,
-    and the generators of level i fix b_0 .. b_(i-1), so orbit i lies in
-    the orbit of b_i under the pointwise stabilizer G_i of those points;
-    and |G| is at least the product of the indices |G_i : G_(i+1)|, each
-    the size of that orbit.  So once the product reaches c, |G| = c.
-    After ``_WALK_MISSES`` (8) consecutive walks that sift to the
-    identity, the phase gives up, and the completion below starts afresh
-    from the given generators.  The sampled strong generators are dense
-    random elements, so on the sampled chain nearly every Schreier
-    generator would sift through every level: Sym(32) x Sym(32) on 64
-    points took 0.84 s that way against 0.17 s afresh.
-
-    **Completion: incremental deterministic Schreier-Sims.**  No work is
-    done twice.  The strong generators are append-only and the base
-    prefix of an existing level never changes, so the generators of a
-    level only grow at their end.  Both phases grow an orbit through
-    one routine, ``_StabilizerChain.close``, in which old orbit points
-    meet only the generators the level has not yet been closed under.
-    Each transversal only grows, and each entry's inverse is computed
-    once and stored beside it.  Completing a level first closes its
-    orbit, then sifts the Schreier generator of each (point, generator)
-    pair not yet tested; each level records how many of its generators
-    every orbit point has been tested against, so re-completing a level
-    sifts only the new pairs: an element that once sifted to the
-    identity still does, since the transversals below keep every entry
-    they had.  So the order stays exact for a group that is not full.
+    Otherwise incremental deterministic Schreier-Sims completes the same
+    chain, and the order is the product of its orbit sizes.  No work is
+    done twice: the strong generators are append-only and the base
+    prefix of a level never changes, so a level's generators only grow
+    at their end; ``_StabilizerChain.close`` meets old orbit points only
+    with the generators they have not met; each transversal only grows,
+    with each entry's inverse stored beside it; and each level records
+    how many of its generators every orbit point has been tested
+    against, so re-completing a level sifts only the new (point,
+    generator) pairs.  An element that once sifted to the identity still
+    does, since the transversals below keep every entry they had.
     """
     gens = list(generators)
     if not gens:
@@ -793,22 +774,60 @@ def schreier_sims_order(generators: Sequence[Sequence[int]]) -> int:
     n = len(gens[0])
     check_point_cap(n)
     gens = [_check_point_perm(g, n) for g in gens]
-    ceiling = math.factorial(n)
-    if n > 1 and not any(parity_dense(g) for g in gens):
-        ceiling //= 2
-    if _StabilizerChain(gens).sample(gens, ceiling):
-        return ceiling
     chain = _StabilizerChain(gens)
+    if chain.levels:
+        chain.close(chain.levels[0])
+        if len(chain.levels[0].orbit) == n:
+            c = _three_cycle(gens)
+            order = None if c is None else alt_sym_order(gens, c)
+            if order is not None:
+                return order
     for i in range(len(chain.levels) - 1, -1, -1):
         chain.complete(i)
     return math.prod(len(level.orbit) for level in chain.levels)
 
 
-# The sampling phase of ``schreier_sims_order``: generator steps per
-# random walk, and consecutive walks sifting to the identity before it
-# gives up.
-_WALK_STEPS = 4
-_WALK_MISSES = 8
+# The 3-cycle search of ``schreier_sims_order``: product-replacement
+# slots, and elements drawn before it gives up.
+_SEARCH_SLOTS = 8
+_SEARCH_DRAWS = 64
+
+
+def _three_cycle(gens: Sequence[DensePerm]) -> Optional[DensePerm]:
+    """A 3-cycle in the group ``gens`` generate, or None.
+
+    Seeded product replacement (Celler, Leedham-Green, Murray, Niemeyer
+    and O'Brien, *Comm. Algebra* 23, 1995) draws elements x until one
+    has exactly one 3-cycle and no other cycle of length divisible by 3.
+    With m the lcm of the other lengths, x^m is that 3-cycle or its
+    inverse, so the 3-cycle read off x lies in the group.
+    """
+    n = len(gens[0])
+    randrange = Random(0).randrange
+    slots = [gens[k % len(gens)] for k in range(_SEARCH_SLOTS)]
+    x = tuple(range(n))
+    for _ in range(_SEARCH_DRAWS):
+        i = randrange(_SEARCH_SLOTS)
+        j = (i + 1 + randrange(_SEARCH_SLOTS - 1)) % _SEARCH_SLOTS  # any slot but i
+        slots[i] = compose_dense(slots[i], slots[j])
+        x = compose_dense(x, slots[i])
+        seen, divisible, three = set(), 0, None
+        for a in range(n):
+            if a not in seen:
+                cycle = [a]
+                while x[cycle[-1]] != a:
+                    cycle.append(x[cycle[-1]])
+                seen.update(cycle)
+                if len(cycle) % 3 == 0:
+                    divisible += 1
+                    if len(cycle) == 3:
+                        three = cycle
+        if divisible == 1 and three:
+            c = list(range(n))
+            for a in three:
+                c[a] = x[a]
+            return tuple(c)
+    return None
 
 
 class _Level:
@@ -855,28 +874,6 @@ class _StabilizerChain:
         level.gens.append(p)
         self.levels.append(level)
 
-    def sample(self, gens: Sequence[DensePerm], ceiling: int) -> bool:
-        """The sampling phase: whether sifted random walks over ``gens``
-        fill the orbits until their sizes multiply to ``ceiling``."""
-        if self.close_orbits() == ceiling:
-            return True
-        choice = Random(0).choice
-        identity = self.identity
-        x = identity
-        misses = 0
-        while misses < _WALK_MISSES:
-            for _ in range(_WALK_STEPS):
-                x = compose_dense(choice(gens), x)
-            residue, _ = self.sift(x, 0)
-            if residue == identity:
-                misses += 1
-                continue
-            misses = 0
-            self.add_strong(residue)
-            if self.close_orbits() == ceiling:
-                return True
-        return False
-
     def close(self, level: _Level) -> None:
         """Close the orbit of ``level`` under its generators; old points
         meet only those past ``level.closed``.  Closure sifts no Schreier
@@ -893,21 +890,6 @@ class _StabilizerChain:
                     orbit.append(b)
                     level.tested.append(0)
         level.closed = len(gens)
-
-    def close_orbits(self) -> int:
-        """Close each orbit that has unmet generators, and return the
-        product of the orbit sizes.
-
-        An orbit at depth d that holds n - d points holds every point but
-        the earlier base points, so it is closed already.
-        """
-        order = 1
-        n = len(self.identity)
-        for depth, level in enumerate(self.levels):
-            if level.closed < len(level.gens) and len(level.orbit) < n - depth:
-                self.close(level)
-            order *= len(level.orbit)
-        return order
 
     def sift(self, p: DensePerm, i: int) -> tuple[DensePerm, int]:
         """Divide p by transversal entries from level i on: the residue,

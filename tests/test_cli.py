@@ -5,10 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import shlex
+import time
 
 import pytest
 
-from gluedprod import core, finite
+from gluedprod import core, finite, pointed
 from gluedprod.cli import main
 
 
@@ -354,6 +355,20 @@ def test_classify_verify_refuses_65_points_before_building(capsys, monkeypatch):
                              "--right", '{"type": "cyclic", "n": 33}')
     assert (code, out) == (2, "")
     assert err == "error: 65 points exceeds the cap of 64\n"
+
+
+@pytest.mark.parametrize("side", ["--left", "--right"])
+@pytest.mark.parametrize("command", [("eval", "G:1 H:1"), ("suite", "core")],
+                         ids=["eval", "suite-core"])
+def test_a_factor_over_the_absorbed_cap_is_refused_at_once(capsys, side, command):
+    """One element over ``pointed.ABSORBED_CAP``: one error line, before any
+    translation of the factor is built."""
+    n = pointed.ABSORBED_CAP + 1
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *command, side, f'{{"type": "cyclic", "n": {n}}}')
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err == f"error: absorbed factor cyclic({n}): {n} elements exceeds the cap of 128\n"
 
 
 def test_suite_reports_inapplicable_checks_as_skipped(capsys):

@@ -206,15 +206,20 @@ def _engine_order(G, H) -> int:
     return schreier_sims_order(realize_finite(G, H, (G.generators(), H.generators())))
 
 
-def test_glued_order_leaves_no_reference_cycle():
+def test_glued_order_leaves_no_reference_cycle(monkeypatch):
     """A self-referring closure, in the certificate's union-find or the
     engine's orbits, would park its data until a generation-2
-    collection, and raise the peak memory of a run."""
+    collection, and raise the peak memory of a run.  The engine runs
+    twice: with its 3-cycle search, and without it, so that the
+    completion builds the whole chain."""
     gc.disable()
     try:
         gc.collect()
         glued_order(CyclicGroup(9), CyclicGroup(10))
         assert gc.collect() == 0
+        _engine_order(CyclicGroup(9), CyclicGroup(10))
+        assert gc.collect() == 0
+        monkeypatch.setattr(groups, "_three_cycle", lambda gens: None)
         _engine_order(CyclicGroup(9), CyclicGroup(10))
         assert gc.collect() == 0
     finally:
@@ -225,7 +230,8 @@ def test_schreier_sims_inverts_each_transversal_entry_once(monkeypatch):
     """18 points: Sym(18) has 17 + 16 + ... + 1 = 153 non-identity
     transversal entries, each inverted at most once, and the
     composition count stays far below the 82,661 of a non-incremental
-    engine over every element's translation."""
+    engine over every element's translation.  The 3-cycle search is
+    switched off, so the completion builds the whole chain."""
     calls = {"compose": 0, "inverse": 0}
     compose, inverse = groups.compose_dense, groups.inverse_dense
 
@@ -239,6 +245,7 @@ def test_schreier_sims_inverts_each_transversal_entry_once(monkeypatch):
 
     monkeypatch.setattr(groups, "compose_dense", counted_compose)
     monkeypatch.setattr(groups, "inverse_dense", counted_inverse)
+    monkeypatch.setattr(groups, "_three_cycle", lambda gens: None)
     assert _engine_order(CyclicGroup(9), CyclicGroup(10)) == math.factorial(18)
     assert 0 < calls["inverse"] <= 153
     assert 0 < calls["compose"] < 30000
@@ -256,8 +263,8 @@ def _alt5() -> groups.TableGroup:
     return groups.TableGroup([[position[compose_dense(p, q)] for q in alt5] for p in alt5])
 
 
-def test_the_orbit_bound_proves_full_products(monkeypatch):
-    """The sampling phase fills the chain up to n! or n!/2, so these orders
+def test_a_found_three_cycle_proves_full_products(monkeypatch):
+    """The engine's 3-cycle search certifies n! or n!/2, so these orders
     need no completion, up to the 64-point cap."""
     def refuse(self, i):
         raise AssertionError("the completion ran")
@@ -266,6 +273,8 @@ def test_the_orbit_bound_proves_full_products(monkeypatch):
     assert _engine_order(CyclicGroup(9), CyclicGroup(10)) == math.factorial(18)
     assert _engine_order(CyclicGroup(16), CyclicGroup(16)) == math.factorial(31)
     assert _engine_order(_alt5(), CyclicGroup(5)) == math.factorial(64) // 2
+    assert _engine_order(CyclicGroup(16), CyclicGroup(49)) == math.factorial(64)
+    assert _engine_order(CyclicGroup(2), CyclicGroup(63)) == math.factorial(64)
 
 
 def test_one_bracketing_of_an_iterated_product_at_the_point_cap():
@@ -292,6 +301,17 @@ def test_the_certificate_orders_every_nontrivial_product(monkeypatch):
     for G, H in pairs:
         n = G.order() + H.order() - 1
         assert glued_order(G, H) == full_order(classify(G, H), n), (G, H)
+
+
+def test_translation_sign_refuses_an_infinite_group():
+    with pytest.raises(GroupSpecError, match="^translation sign needs a finite group$"):
+        translation_sign(IntegersGroup(), "1")
+
+
+def test_classify_refuses_an_infinite_factor():
+    for G, H in ((IntegersGroup(), CyclicGroup(2)), (CyclicGroup(2), IntegersGroup())):
+        with pytest.raises(GroupSpecError, match="^classification needs two finite factors$"):
+            classify(G, H)
 
 
 def test_a_trivial_factor_falls_back_to_schreier_sims():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import time
 import tracemalloc
@@ -327,8 +328,9 @@ def test_schreier_sims_small_cases():
 
 
 def test_a_group_that_is_not_full_reaches_the_completion(monkeypatch):
-    """<(0 1 2 3 4)> has 5 elements, far below the bound 5!/2, so the
-    sampling phase gives up and the completion finds the order."""
+    """<(0 1 2 3 4)> is transitive, but none of its elements is a 3-cycle,
+    so the search finds no certificate and the completion finds the
+    order."""
     calls = 0
     original = groups._StabilizerChain.complete
 
@@ -340,6 +342,29 @@ def test_a_group_that_is_not_full_reaches_the_completion(monkeypatch):
     monkeypatch.setattr(groups._StabilizerChain, "complete", counting)
     assert schreier_sims_order([(1, 2, 3, 4, 0)]) == 5
     assert calls > 0
+
+
+def _refuse(*args):
+    raise AssertionError("refused call ran")
+
+
+def test_a_ten_point_product_needs_no_completion(monkeypatch):
+    """The translations by the greedy generators of relabelled tables of C6
+    and C5 (10 points, Sym(10)).  A search of seeded random walks once
+    stopped one level short of 10! on them and fell through to the
+    completion."""
+    monkeypatch.setattr(groups._StabilizerChain, "complete", _refuse)
+    gens = [(1, 2, 0, 4, 5, 3, 6, 7, 8, 9), (3, 4, 5, 1, 2, 0, 6, 7, 8, 9),
+            (6, 1, 2, 3, 4, 5, 7, 9, 0, 8)]
+    assert schreier_sims_order(gens) == math.factorial(10)
+
+
+def test_an_intransitive_group_skips_the_search(monkeypatch):
+    """Sym(3) x Sym(3) on 6 points: the first orbit has 3 points, so the
+    group is neither Alt nor Sym, and the completion runs at once."""
+    monkeypatch.setattr(groups, "_three_cycle", _refuse)
+    gens = [(1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5), (0, 1, 2, 4, 5, 3), (0, 1, 2, 4, 3, 5)]
+    assert schreier_sims_order(gens) == 36
 
 
 def test_schreier_sims_matches_bruteforce_closure():
@@ -435,6 +460,22 @@ def _cycles(n: int, *cycles: tuple[int, ...]) -> tuple[int, ...]:
 def test_schreier_sims_pinned_orders(gens, order):
     """Groups that are neither Alt nor Sym, which glued products never give."""
     assert schreier_sims_order(gens) == order
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: CyclicGroup(5).parse(7), "7 is not a canonical element of cyclic(5)"),
+    (lambda: IntegersGroup().elements(), "integers is infinite"),
+    (lambda: CyclicPowerGroup(0, 1), "cyclic order must be a positive integer, got 0"),
+    (lambda: CyclicPowerGroup(3, 0), "power must be positive, got 0"),
+    (lambda: TableGroup([[0, 1], [1]]), "table must be a nonempty square matrix"),
+    (lambda: TableGroup([[0, 0], [1, 1]]), "table rows must each permute 0..n-1"),
+    (lambda: parse_group([1]), "group spec must be an object with a 'type': [1]"),
+    (lambda: parse_group({"type": "table"}), "table spec needs a 'table' matrix"),
+], ids=["non-canonical-value", "infinite-elements", "cyclic-power-order", "cyclic-power-power",
+        "table-shape", "table-row", "spec-not-an-object", "table-spec-without-matrix"])
+def test_a_bad_spec_is_refused_with_its_reason(call, text):
+    with pytest.raises(GroupSpecError, match=f"^{re.escape(text)}$"):
+        call()
 
 
 def test_catalog_builds():

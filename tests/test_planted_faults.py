@@ -75,11 +75,14 @@ def refused(call: Callable[[], object], error: type, match: str) -> None:
 
 
 def schreier_sims_against_closure() -> None:
-    """Two glued products, whose full order the sampling phase proves by its
-    bound, and two groups that are not full, so the completion runs: the
-    dihedral group of order 12 on 6 points, and the cyclic group of
-    (0 1)(2 5 4 3), whose four-step walks all return to the identity, so
-    the completion builds its second level."""
+    """Two glued products, whose full order the 3-cycle certificate proves,
+    and three groups that are not full, so the completion runs: the
+    dihedral group of order 12 on 6 points, whose elements with a
+    3-cycle have two; the intransitive cyclic group of (0 1)(2 5 4 3),
+    for which the completion builds a second level; and M11 on 11
+    points, whose elements with a 3-cycle have a second cycle of length
+    divisible by 3 (types 3^3 and 6.3.2), so a 3-cycle read off one of
+    them lies outside the group."""
     for left, right in ((CyclicGroup(3), CyclicGroup(3)),
                         (TableGroup(symmetric_group_table(3)), CyclicGroup(2))):
         gens = realize_finite(left, right)
@@ -87,6 +90,8 @@ def schreier_sims_against_closure() -> None:
     for name, gens in (("D12", [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]),
                        ("C4", [(1, 0, 5, 2, 3, 4)])):
         agree(schreier_sims_order(gens), len(mulclose(gens)), f"order of {name}")
+    m11 = [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0), (0, 1, 6, 9, 5, 3, 10, 2, 8, 4, 7)]
+    agree(schreier_sims_order(m11), 7920, "order of M11")
 
 
 def alt_sym_against_closure() -> None:
@@ -111,6 +116,12 @@ def alt_sym_against_closure() -> None:
 def point_cap_refusal() -> None:
     refused(lambda: glued_order(CyclicGroup(33), CyclicGroup(33)),
             BudgetError, "^65 points exceeds the cap of 64$")
+
+
+def absorbed_cap_refusal() -> None:
+    ctx = PvContext(CyclicGroup(pointed.ABSORBED_CAP + 1), IntegersGroup())
+    refused(lambda: ctx.eval_word("G:1"),
+            BudgetError, r"^absorbed factor cyclic\(129\): 129 elements exceeds the cap of 128$")
 
 
 def check_mode_product() -> None:
@@ -274,9 +285,10 @@ FAULTS = [
     Fault("sift-exit", groups._StabilizerChain, "sift",
           "return p, i", "return p, i - 1",
           schreier_sims_against_closure, AssertionError, "^order of C4"),
-    Fault("sampling-claims-the-bound", groups._StabilizerChain, "sample",
-          "return False", "return True",
-          schreier_sims_against_closure, AssertionError, "^order of D12"),
+    Fault("three-cycle-search-takes-any-three-cycle", groups, "_three_cycle",
+          "if divisible == 1 and three:", "if three:",
+          schreier_sims_against_closure, AssertionError,
+          r"^order of M11: 19958400 != 7920$"),
     Fault("certificate-support-loosened", groups, "alt_sym_order",
           "if len(support) != 3:", "if len(support) < 3:",
           alt_sym_against_closure, AssertionError, r"^certificate of D8: 24 != None$"),
@@ -289,6 +301,9 @@ FAULTS = [
     Fault("point-cap-off-by-one", groups, "check_point_cap",
           "if n > POINT_CAP:", "if n > POINT_CAP + 1:",
           point_cap_refusal, AssertionError, "accepted"),
+    Fault("absorbed-cap-off-by-one", pointed, "check_absorbed",
+          "if n is not None and n > ABSORBED_CAP:", "if n is not None and n > ABSORBED_CAP + 1:",
+          absorbed_cap_refusal, AssertionError, "accepted"),
     Fault("associativity-first-generator-only", groups.TableGroup, "_check_associativity",
           "for s in self.generators():", "for s in self.generators()[:1]:",
           loops_are_refused, AssertionError, "accepted"),

@@ -94,6 +94,16 @@ def test_no_fixed_points_stored():
     assert perm.support() == {BASE, Point("h", "1")}
 
 
+def test_transposition_refuses_a_repeated_point():
+    with pytest.raises(WordParseError, match="^transposition needs two distinct points$"):
+        transposition(BASE, BASE)
+
+
+def test_a_side_other_than_g_or_h_is_refused(pu):
+    with pytest.raises(WordParseError, match="^side must be 'g' or 'h', got 'x'$"):
+        pu.handle("x")
+
+
 def test_rejects_non_permutation():
     with pytest.raises(WordParseError):
         FinPerm({BASE: Point("g", "1")})

@@ -74,7 +74,7 @@ BUDGETS = budgets()
 
 
 def test_the_budgets_list_cites_every_capped_constant():
-    assert [value for _, _, value in BUDGETS] == [10**6, 10**5, 10**7, 64, 18, 10**9]
+    assert [value for _, _, value in BUDGETS] == [10**6, 10**5, 10**7, 64, 128, 18, 10**9]
 
 
 @pytest.mark.parametrize("lead, name, value", BUDGETS, ids=[name for _, name, _ in BUDGETS])
