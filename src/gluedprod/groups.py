@@ -122,24 +122,28 @@ class GroupHandle:
         """Greedy: each element, in canonical order, that is not yet in the
         subgroup generated by those picked before it joins them.  Each pick
         at least doubles that subgroup, so a group takes at most log2 of
-        its order; the trivial group takes none.
+        its order; the trivial group takes none.  The subgroup is walked as
+        the orbit of the identity under right multiplication by the picks,
+        which it is in a finite group, where s^-1 is a power of s.  Old
+        elements meet only the new pick and new ones every pick, so the
+        walk makes |G| |S| products.  On a table not yet known to be a group, each reached
+        element is a product of picks, so the picks generate it as a
+        magma, which is all Light's test needs.
         """
         mul = self.mul
-        reached = {self.identity}
+        reached, seen = [self.identity], {self.identity}  # a list in discovery order
         gens = []
         for a in self.elements():
-            if a in reached:
+            if a in seen:
                 continue
             gens.append(a)
-            reached.add(a)
-            frontier = [a]
-            while frontier:  # each new u meets every element reached so far
-                u = frontier.pop()
-                for v in list(reached):
-                    for w in (mul(u, v), mul(v, u)):
-                        if w not in reached:
-                            reached.add(w)
-                            frontier.append(w)
+            old = len(reached)
+            for k, x in enumerate(reached):  # the loop meets the elements it appends
+                for s in (a,) if k < old else gens:
+                    y = mul(x, s)
+                    if y not in seen:
+                        seen.add(y)
+                        reached.append(y)
         return gens
 
     def _ball_size(self, radius: int) -> int:
@@ -511,31 +515,26 @@ class TableGroup(GroupHandle):
     kind = "table"
 
     def __init__(self, table: list[list[int]]):
-        if type(table) is not list or not all(
-                type(row) is list and all(type(x) is int for x in row) for row in table):
+        if type(table) is not list or not {list}.issuperset(map(type, table)) \
+                or not {int}.issuperset(map(type, itertools.chain.from_iterable(table))):
             raise GroupSpecError("table must be a list of lists of ints")
-        self.table = [list(row) for row in table]
-        n = len(self.table)
-        if n == 0 or any(len(row) != n for row in self.table):
+        n = len(table)
+        if n == 0 or set(map(len, table)) != {n}:
             raise GroupSpecError("table must be a nonempty square matrix")
-        cells = set(range(n))
-        for row in self.table:
-            if set(row) != cells:
-                raise GroupSpecError("table rows must each permute 0..n-1")
-        for j in range(n):
-            if {row[j] for row in self.table} != cells:
-                raise GroupSpecError("table columns must each permute 0..n-1")
-        ident = [e for e in range(n)
-                 if all(self.table[e][j] == j for j in range(n))
-                 and all(self.table[i][e] == i for i in range(n))]
-        if not ident:
+        self._rows = rows = list(map(tuple, table))
+        permutes = set(range(n)).__eq__
+        if not all(map(permutes, map(set, rows))):
+            raise GroupSpecError("table rows must each permute 0..n-1")
+        columns = list(zip(*rows))
+        if not all(map(permutes, map(set, columns))):
+            raise GroupSpecError("table columns must each permute 0..n-1")
+        cells = tuple(range(n))
+        self.identity = next((e for e in range(n) if rows[e] == cells == columns[e]), None)
+        if self.identity is None:
             raise GroupSpecError("table has no two-sided identity")
-        self.identity = ident[0]
         self.n = n
         self._check_associativity()
-        self._inv = [0] * n
-        for i in range(n):
-            self._inv[i] = self.table[i].index(self.identity)
+        self._inv = [row.index(self.identity) for row in rows]
 
     def _check_associativity(self):
         """Light's test (Clifford and Preston, The Algebraic Theory of
@@ -544,25 +543,32 @@ class TableGroup(GroupHandle):
         The s with (x s) y = x (s y) for all x, y are closed under the
         product, so checking them for a set S that generates the table
         proves associativity.  S is the greedy ``generators()``, whose
-        closure takes only products and so needs no associativity.
+        orbit walk takes only products and so needs no associativity.  A
+        row x (s y) is gathered in C, as ``compose_dense`` does.
         """
-        n, t = self.n, self.table
+        n, t = self.n, self._rows
         for s in self.generators():
             ts = t[s]
-            for x in range(n):
-                tx, left = t[x], t[t[x][s]]
-                if left != [tx[v] for v in ts]:
+            gather = operator.itemgetter(*ts)
+            for x, tx in enumerate(t):
+                left = t[tx[s]]
+                if left != gather(tx):
                     y = next(y for y in range(n) if left[y] != tx[ts[y]])
                     raise GroupSpecError(f"table is not associative at ({x},{s},{y})")
 
     def __repr__(self):
         return f"table({self.n})"
 
+    @property
+    def table(self) -> list[list[int]]:
+        """The table as a spec gives it, a list of lists; rows are held as tuples."""
+        return list(map(list, self._rows))
+
     def order(self):
         return self.n
 
     def mul(self, a, b):
-        return self.table[a][b]
+        return self._rows[a][b]
 
     def inv(self, a):
         return self._inv[a]
@@ -614,15 +620,8 @@ def cyclic_table(n: int) -> list[list[int]]:
 def direct_product_table(t1: Sequence[Sequence[int]],
                          t2: Sequence[Sequence[int]]) -> list[list[int]]:
     """Table of the direct product, elements indexed as i1 * |G2| + i2."""
-    n1, n2 = len(t1), len(t2)
-
-    def pair(i, j):
-        return i * n2 + j
-
-    out = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-    for a1, a2, b1, b2 in itertools.product(range(n1), range(n2), range(n1), range(n2)):
-        out[pair(a1, a2)][pair(b1, b2)] = pair(t1[a1][b1], t2[a2][b2])
-    return out
+    pairs = list(itertools.product(range(len(t1)), range(len(t2))))
+    return [[t1[a1][b1] * len(t2) + t2[a2][b2] for b1, b2 in pairs] for a1, a2 in pairs]
 
 
 def symmetric_group_table(n: int) -> list[list[int]]:
@@ -708,8 +707,9 @@ def alt_sym_order(gens: Sequence[DensePerm], c: DensePerm) -> Optional[int]:
     the merge under ``gens``: each merge of the classes of a and b queues
     (g(a), g(b)) for every generator g.  Every merge is forced, and the
     result is invariant, so it is the finest G-invariant partition
-    holding supp(c) in one class.  Lemma: if that partition is a single
-    class, G contains Alt(n).  Let N be the normal closure of <c> in G.
+    holding supp(c) in one class; it stops at the merge that leaves one
+    class, since no pair can split it.  Lemma: if that partition is a
+    single class, G contains Alt(n).  Let N be the normal closure of <c> in G.
     The orbits of N form a G-invariant partition, and supp(c) lies in one
     of them, so they are a single class and N is transitive.  N is
     generated by 3-cycles, the conjugates of c, and a transitive group
@@ -726,7 +726,7 @@ def alt_sym_order(gens: Sequence[DensePerm], c: DensePerm) -> Optional[int]:
     members = [[i] for i in range(n)]  # class -> its points
     classes = n
     pairs = [(support[0], b) for b in support[1:]]
-    while pairs:
+    while pairs and classes > 1:
         a, b = pairs.pop()
         x, y = label[a], label[b]
         if x != y:

@@ -46,3 +46,29 @@ def mulclose(gens: list[tuple[int, ...]], limit: int = 10**6) -> set[tuple[int, 
         frontier = nxt
     return elements
 
+
+
+def closure_picks(G) -> list:
+    """The greedy generators of a finite handle, by two-sided closure.
+
+    Each element, in canonical order, that the picks so far do not reach
+    joins them; the reached set is closed by meeting each new element
+    with every element reached so far, on both sides: O(|G|^2) products.
+    """
+    mul = G.mul
+    reached = {G.identity}
+    gens = []
+    for a in G.elements():
+        if a in reached:
+            continue
+        gens.append(a)
+        reached.add(a)
+        frontier = [a]
+        while frontier:
+            u = frontier.pop()
+            for v in list(reached):
+                for w in (mul(u, v), mul(v, u)):
+                    if w not in reached:
+                        reached.add(w)
+                        frontier.append(w)
+    return gens

@@ -185,7 +185,7 @@ def test_generators_generate_every_catalog_factor():
 
 def test_a_table_factor_picks_its_generators_once(monkeypatch):
     """Light's associativity test at parse time and glued_order share one
-    greedy closure per handle."""
+    greedy orbit walk per handle."""
     picks = 0
     original = groups.GroupHandle._pick_generators
 

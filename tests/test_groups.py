@@ -38,7 +38,7 @@ from gluedprod.groups import (
     symmetric_group_table,
 )
 
-from conftest import finite_catalog, mulclose
+from conftest import closure_picks, finite_catalog, mulclose
 from test_numbering import shifted_cyclic
 
 
@@ -100,14 +100,94 @@ MALFORMED_SPECS = [
 ]
 
 
+# a non-associative 6-element loop generated by 1 and 2
+LOOP = [[0, 1, 2, 3, 4, 5], [1, 0, 5, 4, 3, 2], [2, 3, 4, 5, 0, 1],
+        [3, 2, 1, 0, 5, 4], [4, 5, 3, 2, 1, 0], [5, 4, 0, 1, 2, 3]]
+
+
 def test_a_loop_whose_generators_look_associative_is_refused():
     """A non-associative 6-element loop generated by 1 and 2; the triples
     through the generator 1 alone are all associative, so only a test
     over every generator, 2 included, refuses it."""
-    loop = [[0, 1, 2, 3, 4, 5], [1, 0, 5, 4, 3, 2], [2, 3, 4, 5, 0, 1],
-            [3, 2, 1, 0, 5, 4], [4, 5, 3, 2, 1, 0], [5, 4, 0, 1, 2, 3]]
     with pytest.raises(GroupSpecError, match=r"^table is not associative at \(1,2,2\)$"):
-        parse_group({"type": "table", "table": loop})
+        parse_group({"type": "table", "table": LOOP})
+
+
+def _dihedral_table(m: int) -> list[list[int]]:
+    """The dihedral group of order 2m, r^a s^b indexed 2a + b."""
+    def mul(x, y):
+        (a, b), (c, d) = divmod(x, 2), divmod(y, 2)
+        return 2 * ((a + (-c if b else c)) % m) + (b + d) % 2
+    return [[mul(x, y) for y in range(2 * m)] for x in range(2 * m)]
+
+
+def _relabelled(table: list[list[int]], seed: int) -> list[list[int]]:
+    """The same group with its elements renamed by a seeded shuffle."""
+    n = len(table)
+    label = list(range(n))
+    Random(seed).shuffle(label)
+    out = [[0] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        out[label[i]][label[j]] = label[table[i][j]]
+    return out
+
+
+PICK_TABLES = {
+    **{f"C{n}": cyclic_table(n) for n in range(1, 13)},
+    "V4": direct_product_table(cyclic_table(2), cyclic_table(2)),
+    "S3": symmetric_group_table(3),
+    "D4": _dihedral_table(4),
+    "Z2xZ4": direct_product_table(cyclic_table(2), cyclic_table(4)),
+    "Z2^3": direct_product_table(direct_product_table(cyclic_table(2), cyclic_table(2)),
+                                 cyclic_table(2)),
+    "Z3xZ3": direct_product_table(cyclic_table(3), cyclic_table(3)),
+    "D5": _dihedral_table(5),
+    "Sym(4)": symmetric_group_table(4),
+    "Sym(5)xC3": direct_product_table(symmetric_group_table(5), cyclic_table(3)),
+}
+
+
+@pytest.mark.parametrize("name", ["catalog", *PICK_TABLES, "loop"])
+def test_the_orbit_walk_picks_what_the_closure_picks(name, monkeypatch):
+    """The generators against the two-sided closure oracle: on the
+    catalog factors, on each table as built and under three seeded
+    relabellings, and on LOOP, whose picks Light's test relies on."""
+    if name == "catalog":
+        handles = list(finite_catalog().values())
+    elif name == "loop":
+        monkeypatch.setattr(TableGroup, "_check_associativity", lambda self: None)
+        handles = [TableGroup(LOOP)]
+    else:
+        table = PICK_TABLES[name]
+        handles = [TableGroup(t) for t in [table] + [_relabelled(table, s) for s in range(3)]]
+    for G in handles:
+        assert G.generators() == closure_picks(G), G
+    if name == "loop":
+        assert handles[0].generators() == [1, 2]
+        monkeypatch.undo()
+        with pytest.raises(GroupSpecError, match=r"^table is not associative at \(1,2,2\)$"):
+            TableGroup(LOOP)
+
+
+@pytest.mark.parametrize("make", [lambda: CyclicGroup(2520),
+                                  lambda: TableGroup(symmetric_group_table(5))],
+                         ids=["C2520", "Sym(5)"])
+def test_the_generator_pick_makes_one_product_per_element_and_pick(make):
+    """Exactly |G| |S| products; the two-sided closure makes about
+    2 * 2520^2 on C2520."""
+    G = make()
+    G._generators = None  # a table picked once already, for Light's test
+    calls = 0
+    mul = G.mul
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    G.mul = counting
+    gens = G.generators()
+    assert calls == G.order() * len(gens)
 
 
 def test_parse_group_rejects_bad_specs():
@@ -469,10 +549,18 @@ def test_schreier_sims_pinned_orders(gens, order):
     (lambda: CyclicPowerGroup(3, 0), "power must be positive, got 0"),
     (lambda: TableGroup([[0, 1], [1]]), "table must be a nonempty square matrix"),
     (lambda: TableGroup([[0, 0], [1, 1]]), "table rows must each permute 0..n-1"),
+    (lambda: TableGroup([[False, True], [True, False]]), "table must be a list of lists of ints"),
+    (lambda: TableGroup([[0, 1], [1, 0.0]]), "table must be a list of lists of ints"),
+    (lambda: TableGroup([[0, 1], (1, 0)]), "table must be a list of lists of ints"),
+    (lambda: TableGroup([[0, 1], [0, 1]]), "table columns must each permute 0..n-1"),
+    (lambda: TableGroup([[1, 2, 0], [2, 0, 1], [0, 1, 2]][::-1]),
+     "table has no two-sided identity"),
     (lambda: parse_group([1]), "group spec must be an object with a 'type': [1]"),
     (lambda: parse_group({"type": "table"}), "table spec needs a 'table' matrix"),
 ], ids=["non-canonical-value", "infinite-elements", "cyclic-power-order", "cyclic-power-power",
-        "table-shape", "table-row", "spec-not-an-object", "table-spec-without-matrix"])
+        "table-shape", "table-row", "table-bool-entry", "table-float-entry", "table-tuple-row",
+        "table-column", "table-without-identity", "spec-not-an-object",
+        "table-spec-without-matrix"])
 def test_a_bad_spec_is_refused_with_its_reason(call, text):
     with pytest.raises(GroupSpecError, match=f"^{re.escape(text)}$"):
         call()

@@ -24,7 +24,7 @@ from typing import Callable
 
 import pytest
 
-from conftest import mulclose
+from conftest import closure_picks, mulclose
 from gluedprod import (
     BudgetError,
     CyclicGroup,
@@ -193,6 +193,11 @@ def loops_are_refused() -> None:
     refused(lambda: TableGroup(loop), GroupSpecError, r"^table is not associative at \(1,2,2\)$")
 
 
+def picks_against_closure() -> None:
+    for G in (CyclicGroup(4), TableGroup(symmetric_group_table(3))):
+        agree(G.generators(), closure_picks(G), f"picks of {G}")
+
+
 def quotients_must_be_homomorphisms() -> None:
     """Z -> Z/17 followed by the swap of residues 1 and 2, which fixes 0:
     only the homomorphism law refuses it."""
@@ -307,6 +312,9 @@ FAULTS = [
     Fault("associativity-first-generator-only", groups.TableGroup, "_check_associativity",
           "for s in self.generators():", "for s in self.generators()[:1]:",
           loops_are_refused, AssertionError, "accepted"),
+    Fault("orbit-walk-skips-earlier-elements", groups.GroupHandle, "_pick_generators",
+          "for s in (a,) if k < old else gens:", "for s in () if k < old else gens:",
+          picks_against_closure, AssertionError, r"^picks of cyclic\(4\): \[1, 2, 3\] != \[1\]$"),
     Fault("homomorphism-law-off", lef.FiniteQuotient, "verify",
           "if proj(source.mul(x, y)) != target.mul(proj(x), proj(y)):", "if False:",
           quotients_must_be_homomorphisms, AssertionError, "accepted"),
